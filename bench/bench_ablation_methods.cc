@@ -36,15 +36,15 @@ int main(int argc, char** argv) {
                      .MultiSourceQuery(workload->queries);
     CSR_CHECK_OK(exact.status());
 
-    for (Method method :
-         {Method::kCsrPlus, Method::kCoSimMate, Method::kRpCoSim}) {
+    for (EngineKind method :
+         {EngineKind::kCsrPlus, EngineKind::kCoSimMate, EngineKind::kRpCoSim}) {
       const RunOutcome outcome = eval::RunMethod(
           method, workload->transition, workload->queries, config);
       std::string avgdiff = "-";
       if (outcome.status.ok()) {
         avgdiff = eval::FormatSci(eval::AvgDiff(outcome.scores, *exact));
       }
-      table.AddRow({workload->key, std::string(eval::MethodName(method)),
+      table.AddRow({workload->key, std::string(service::EngineKindName(method)),
                     TimeCell(outcome, outcome.total_seconds()),
                     BytesCell(outcome, outcome.peak_bytes()), avgdiff,
                     eval::OutcomeLabel(outcome)});

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -70,12 +71,13 @@ struct LoadResult {
 // workload is a warm cache — the universe fits well inside the default
 // capacity) and the hit rate is computed from the stats delta across the
 // timed window, so cold misses don't dilute it.
-LoadResult RunLoad(const core::QueryEngine& engine, cache::ColumnCache* cache,
-                   int num_clients, int requests_per_client, Index qsize,
-                   Index universe, const ZipfSampler& zipf) {
+LoadResult RunLoad(std::shared_ptr<const core::QueryEngine> engine,
+                   cache::ColumnCache* cache, int num_clients,
+                   int requests_per_client, Index qsize, Index universe,
+                   const ZipfSampler& zipf) {
   service::ServiceOptions options;
   options.cache = cache;
-  service::QueryService service(&engine, options);
+  service::QueryService service(std::move(engine), options);
 
   const auto make_request = [&](Rng& rng) {
     service::QueryRequest request;
@@ -164,8 +166,10 @@ int main(int argc, char** argv) {
   engine_options.rank = std::min<Index>(config.rank, n);
   engine_options.damping = config.damping;
   WallTimer timer;
-  auto engine = core::CsrPlusEngine::Precompute(*graph, engine_options);
-  CSR_CHECK(engine.ok()) << engine.status().ToString();
+  auto built = core::CsrPlusEngine::Precompute(*graph, engine_options);
+  CSR_CHECK(built.ok()) << built.status().ToString();
+  const auto engine =
+      std::make_shared<const core::CsrPlusEngine>(std::move(*built));
   std::printf("precompute: rank %ld in %s\n",
               static_cast<long>(engine->rank()),
               eval::FormatTime(timer.ElapsedSeconds()).c_str());
@@ -176,11 +180,11 @@ int main(int argc, char** argv) {
 
   const ZipfSampler zipf(universe);
   const LoadResult uncached =
-      RunLoad(*engine, nullptr, num_clients, requests, qsize, universe, zipf);
+      RunLoad(engine, nullptr, num_clients, requests, qsize, universe, zipf);
 
   cache::ColumnCache cache;  // defaults: 256 MiB, 8 shards
   const LoadResult cached =
-      RunLoad(*engine, &cache, num_clients, requests, qsize, universe, zipf);
+      RunLoad(engine, &cache, num_clients, requests, qsize, universe, zipf);
 
   eval::TablePrinter table(
       {"mode", "ok", "failed", "QPS", "steady hit rate"});

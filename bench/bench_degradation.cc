@@ -25,6 +25,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -202,8 +203,10 @@ int main(int argc, char** argv) {
   core::CsrPlusOptions engine_options;
   engine_options.rank = std::min<Index>(config.rank, n);
   engine_options.damping = config.damping;
-  auto exact = core::CsrPlusEngine::Precompute(*graph, engine_options);
-  CSR_CHECK(exact.ok()) << exact.status().ToString();
+  auto built = core::CsrPlusEngine::Precompute(*graph, engine_options);
+  CSR_CHECK(built.ok()) << built.status().ToString();
+  const auto exact =
+      std::make_shared<const core::CsrPlusEngine>(std::move(*built));
 
   // Approximate tier: hardened RP-CoSim with a deliberately tiny sketch so
   // its advertised per-query cost sits far under the exact engine's.
@@ -234,7 +237,7 @@ int main(int argc, char** argv) {
   // latency; this bench serves throughput under collapse.
   service_options.max_batch_requests = 64;
   service_options.max_batch_queries = std::max<Index>(64 * qsize, 64);
-  service::QueryService service(&*exact, service_options);
+  service::QueryService service(exact, service_options);
 
   // Warm the dispatcher / thread pool before timing anything.
   Rng warm_rng(0x11ull);

@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
       continue;
     }
     PrintWorkload(*workload);
-    for (Method method : eval::PaperMethods()) {
+    for (EngineKind method : eval::PaperMethods()) {
       const RunOutcome outcome = eval::RunMethod(
           method, workload->transition, workload->queries, config);
-      table.AddRow({workload->key, std::string(eval::MethodName(method)),
+      table.AddRow({workload->key, std::string(service::EngineKindName(method)),
                     TimeCell(outcome, outcome.precompute.seconds),
                     TimeCell(outcome, outcome.query.seconds),
                     TimeCell(outcome, outcome.total_seconds()),

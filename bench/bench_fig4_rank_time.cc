@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       RunConfig swept = config;
       swept.rank = r;
       std::vector<std::string> row = {workload->key, std::to_string(r)};
-      for (Method method : eval::PaperMethods()) {
+      for (EngineKind method : eval::PaperMethods()) {
         const RunOutcome outcome = eval::RunMethod(
             method, workload->transition, workload->queries, swept);
         row.push_back(TimeCell(outcome, outcome.total_seconds()));

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -47,12 +48,12 @@ struct LoadResult {
   double qps() const { return ok / seconds; }
 };
 
-LoadResult RunLoad(const core::QueryEngine& engine, bool coalesce,
-                   int num_clients, int requests_per_client, Index qsize,
-                   Index hot_set) {
+LoadResult RunLoad(std::shared_ptr<const core::QueryEngine> engine,
+                   bool coalesce, int num_clients, int requests_per_client,
+                   Index qsize, Index hot_set) {
   service::ServiceOptions options;
   options.coalesce = coalesce;
-  service::QueryService service(&engine, options);
+  service::QueryService service(std::move(engine), options);
 
   std::atomic<int> ok{0}, failed{0};
   std::atomic<int64_t> batch_requests_sum{0};
@@ -118,9 +119,10 @@ LoadResult RunLoad(const core::QueryEngine& engine, bool coalesce,
 // coalescing service behind net::Server, one blocking net::Client per
 // client thread. Request generation is identical so the QPS ratio isolates
 // the wire + event-loop overhead.
-LoadResult RunSocketLoad(const core::QueryEngine& engine, int num_clients,
-                         int requests_per_client, Index qsize, Index hot_set) {
-  service::QueryService service(&engine);
+LoadResult RunSocketLoad(std::shared_ptr<const core::QueryEngine> engine,
+                         int num_clients, int requests_per_client, Index qsize,
+                         Index hot_set) {
+  service::QueryService service(std::move(engine));
   net::ServerOptions server_options;
   // Encode + flush of an n x |Q| response per request is the socket arm's
   // real work; spread it so it overlaps the next engine batch.
@@ -221,8 +223,10 @@ int main(int argc, char** argv) {
   engine_options.rank = std::min<Index>(config.rank, n);
   engine_options.damping = config.damping;
   WallTimer timer;
-  auto engine = core::CsrPlusEngine::Precompute(*graph, engine_options);
-  CSR_CHECK(engine.ok()) << engine.status().ToString();
+  auto built = core::CsrPlusEngine::Precompute(*graph, engine_options);
+  CSR_CHECK(built.ok()) << built.status().ToString();
+  const auto engine =
+      std::make_shared<const core::CsrPlusEngine>(std::move(*built));
   std::printf("precompute: rank %ld in %s\n\n",
               static_cast<long>(engine->rank()),
               eval::FormatTime(timer.ElapsedSeconds()).c_str());
@@ -236,12 +240,12 @@ int main(int argc, char** argv) {
   double socket_ratio_at_max = 0.0;
   for (int num_clients : client_counts) {
     LoadResult serialized =
-        RunLoad(*engine, /*coalesce=*/false, num_clients, requests, qsize,
+        RunLoad(engine, /*coalesce=*/false, num_clients, requests, qsize,
                 hot_set);
-    LoadResult batched = RunLoad(*engine, /*coalesce=*/true, num_clients,
+    LoadResult batched = RunLoad(engine, /*coalesce=*/true, num_clients,
                                  requests, qsize, hot_set);
     LoadResult socket =
-        RunSocketLoad(*engine, num_clients, requests, qsize, hot_set);
+        RunSocketLoad(engine, num_clients, requests, qsize, hot_set);
     const std::pair<const char*, const LoadResult*> arms[] = {
         {"serialized", &serialized},
         {"batched", &batched},

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {std::to_string(n),
                                     std::to_string(g->num_edges())};
     std::vector<double> method_times;
-    for (Method method : eval::PaperMethods()) {
+    for (EngineKind method : eval::PaperMethods()) {
       const RunOutcome outcome =
           eval::RunMethod(method, transition, queries, config);
       method_times.push_back(outcome.status.ok() ? outcome.total_seconds()

@@ -18,12 +18,12 @@
 
 namespace csrplus::bench {
 
-using eval::Method;
 using eval::RunConfig;
 using eval::RunOutcome;
 using graph::Graph;
 using linalg::CsrMatrix;
 using linalg::Index;
+using service::EngineKind;
 
 /// A dataset ready for experiments: the graph, its transition matrix, and a
 /// default query sample.
@@ -68,23 +68,17 @@ inline void PrintBanner(const char* artefact, const char* description,
 /// `--scale=full`, `--service-n=20000`, ... Each `--some-knob=value` maps to
 /// the `COSIM_SOME_KNOB` environment variable the benches already read
 /// (`--threads=` maps to the process-wide pool width), so flags and env vars
-/// are interchangeable and flags win by being applied last. The historical
-/// bare `knob=value` spelling still works but warns; anything else is an
-/// error so typos cannot silently run a default configuration.
+/// are interchangeable and flags win by being applied last. Anything else is
+/// an error so typos cannot silently run a default configuration.
 inline bool ParseBenchArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (StartsWith(arg, "--")) {
-      arg = arg.substr(2);
-    } else if (arg.find('=') != std::string::npos) {
-      std::fprintf(stderr,
-                   "warning: bare '%s' is deprecated; use '--%s'\n",
-                   arg.c_str(), arg.c_str());
-    } else {
+    if (!StartsWith(arg, "--")) {
       std::fprintf(stderr, "error: unrecognised argument '%s' "
                    "(expected --knob=value)\n", arg.c_str());
       return false;
     }
+    arg = arg.substr(2);
     const std::size_t eq = arg.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 >= arg.size()) {
       std::fprintf(stderr, "error: expected --knob=value, got '%s'\n",

@@ -101,23 +101,6 @@ Result<DenseMatrix> ReferenceEngine::MultiSourceQuery(
   return out;
 }
 
-// Deprecated free-function entry points: thin shims over ReferenceEngine so
-// remaining external callers keep working while they migrate.
-Result<std::vector<double>> SingleSourceCoSimRank(
-    const CsrMatrix& transition, Index query,
-    const CoSimRankOptions& options) {
-  ReferenceEngine engine(&transition, options);
-  std::vector<double> out;
-  CSR_RETURN_IF_ERROR(engine.SingleSourceQueryInto(query, &out));
-  return out;
-}
-
-Result<DenseMatrix> MultiSourceCoSimRank(const CsrMatrix& transition,
-                                         const std::vector<Index>& queries,
-                                         const CoSimRankOptions& options) {
-  return ReferenceEngine(&transition, options).MultiSourceQuery(queries);
-}
-
 Result<double> SinglePairCoSimRank(const CsrMatrix& transition, Index a,
                                    Index b, const CoSimRankOptions& options) {
   CSR_RETURN_IF_ERROR(ValidateOptions(options));

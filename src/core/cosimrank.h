@@ -72,21 +72,6 @@ class ReferenceEngine final : public QueryEngine {
   CoSimRankOptions options_;
 };
 
-/// Single-source CoSimRank: the full column [S]_{*,q}.
-[[deprecated(
-    "construct a core::ReferenceEngine and call SingleSourceQueryInto — the "
-    "free function duplicates the QueryEngine contract")]]
-Result<std::vector<double>> SingleSourceCoSimRank(
-    const CsrMatrix& transition, Index query, const CoSimRankOptions& options);
-
-/// Multi-source CoSimRank [S]_{*,Q} as an n x |Q| matrix.
-[[deprecated(
-    "construct a core::ReferenceEngine and call MultiSourceQuery — the free "
-    "function duplicates the QueryEngine contract")]]
-Result<DenseMatrix> MultiSourceCoSimRank(const CsrMatrix& transition,
-                                         const std::vector<Index>& queries,
-                                         const CoSimRankOptions& options);
-
 /// Single-pair score [S]_{a,b} without materialising any column: runs the
 /// forward iterations for a and b simultaneously and accumulates
 /// sum_k c^k <p_a, p_b>. O(K m) time, O(n) memory.

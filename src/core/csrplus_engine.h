@@ -191,21 +191,6 @@ class CsrPlusEngine : public QueryEngine {
   static Result<CsrPlusEngine> LoadPrecompute(const std::string& path,
                                               const LoadOptions& options);
 
-  /// Deprecated forwarder: LoadPrecompute(path, LoadOptions{}) — heap mode,
-  /// no graph fingerprint check.
-  [[deprecated(
-      "use LoadPrecompute(path, LoadOptions{}) — the LoadOptions overload is "
-      "the single load surface")]]
-  static Result<CsrPlusEngine> LoadPrecompute(const std::string& path);
-
-  /// Deprecated forwarder: LoadPrecompute with options.expected_fingerprint
-  /// set to `expected` (heap mode).
-  [[deprecated(
-      "use LoadPrecompute(path, LoadOptions{.expected_fingerprint = fp}) — "
-      "the LoadOptions overload is the single load surface")]]
-  static Result<CsrPlusEngine> LoadPrecompute(const std::string& path,
-                                              const GraphFingerprint& expected);
-
   /// Multi-source query: returns the n x |Q| block [S]_{*,Q}.
   Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override;

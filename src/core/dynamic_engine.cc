@@ -376,11 +376,6 @@ Result<UpdateReceipt> DynamicCsrPlusEngine::ApplyUpdates(
   return receipt;
 }
 
-Status DynamicCsrPlusEngine::InsertEdge(Index u, Index v) {
-  const EdgeUpdate update = EdgeUpdate::Insert(u, v);
-  return ApplyUpdates(std::span<const EdgeUpdate>(&update, 1)).status();
-}
-
 Result<DenseMatrix> DynamicCsrPlusEngine::MultiSourceQuery(
     const std::vector<Index>& queries) const {
   CSR_RETURN_IF_ERROR(ValidateQueries(queries, num_nodes()));

@@ -154,12 +154,6 @@ class DynamicCsrPlusEngine : public QueryEngine {
   /// delta-aware cache eviction.
   Result<UpdateReceipt> ApplyUpdates(std::span<const EdgeUpdate> updates);
 
-  /// Deprecated forwarder: ApplyUpdates of one kInsert.
-  [[deprecated(
-      "use ApplyUpdates({EdgeUpdate::Insert(u, v)}) — the batched mutation "
-      "surface returns the UpdateReceipt caches need")]]
-  Status InsertEdge(Index u, Index v);
-
   // QueryEngine: clean columns answer from the frozen base engine, touched
   // columns from the live Brand-updated factors (see the header comment).
   Result<DenseMatrix> MultiSourceQuery(

@@ -667,22 +667,6 @@ Status CsrPlusEngine::SavePrecompute(const std::string& path) const {
   return Status::OK();
 }
 
-// Deprecated forwarders; the definitions themselves must not warn under the
-// -Werror=deprecated-declarations CI canary.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-Result<CsrPlusEngine> CsrPlusEngine::LoadPrecompute(const std::string& path) {
-  return LoadPrecompute(path, LoadOptions{});
-}
-
-Result<CsrPlusEngine> CsrPlusEngine::LoadPrecompute(
-    const std::string& path, const GraphFingerprint& expected) {
-  LoadOptions options;
-  options.expected_fingerprint = expected;
-  return LoadPrecompute(path, options);
-}
-#pragma GCC diagnostic pop
-
 GraphFingerprint FingerprintTransition(const CsrMatrix& transition) {
   CSRPLUS_OBS_SCOPED_US("csrplus.phase.fingerprint_us",
                         "FNV-1a fingerprint of the transition matrix");

@@ -86,7 +86,8 @@ class QueryEngine {
   /// Number of nodes n this engine serves.
   virtual Index NumNodes() const = 0;
 
-  /// Stable display name ("CSR+", "CSR-NI", ...); matches eval::MethodName.
+  /// Stable display name ("CSR+", "CSR-NI", ...); matches
+  /// service::EngineKindName.
   virtual std::string_view Name() const = 0;
 
   /// Identity of the engine's *answer function*: two engines with the same

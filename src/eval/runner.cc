@@ -2,7 +2,6 @@
 
 #include "common/memory.h"
 #include "common/timer.h"
-#include "service/engine_registry.h"
 
 namespace csrplus::eval {
 namespace {
@@ -21,74 +20,21 @@ auto Measure(PhaseMetrics* metrics, Fn&& fn) {
   return result;
 }
 
-using EnginePtr = std::unique_ptr<core::QueryEngine>;
-
-service::EngineKind ToEngineKind(Method method) {
-  switch (method) {
-    case Method::kCsrPlus:
-      return service::EngineKind::kCsrPlus;
-    case Method::kCsrNi:
-      return service::EngineKind::kCsrNi;
-    case Method::kCsrIt:
-      return service::EngineKind::kCsrIt;
-    case Method::kCsrRls:
-      return service::EngineKind::kCsrRls;
-    case Method::kCoSimMate:
-      return service::EngineKind::kCoSimMate;
-    case Method::kRpCoSim:
-      return service::EngineKind::kRpCoSim;
-    case Method::kDynamic:
-      return service::EngineKind::kDynamic;
-  }
-  return service::EngineKind::kCsrPlus;
-}
-
 }  // namespace
 
-std::string_view MethodName(Method method) {
-  switch (method) {
-    case Method::kCsrPlus:
-      return "CSR+";
-    case Method::kCsrNi:
-      return "CSR-NI";
-    case Method::kCsrIt:
-      return "CSR-IT";
-    case Method::kCsrRls:
-      return "CSR-RLS";
-    case Method::kCoSimMate:
-      return "CoSimMate";
-    case Method::kRpCoSim:
-      return "RP-CoSim";
-    case Method::kDynamic:
-      return "CSR+dyn";
-  }
-  return "?";
-}
-
-const std::vector<Method>& PaperMethods() {
-  static const std::vector<Method> kMethods = {
-      Method::kCsrPlus, Method::kCsrRls, Method::kCsrIt, Method::kCsrNi};
+const std::vector<EngineKind>& PaperMethods() {
+  static const std::vector<EngineKind> kMethods = {
+      EngineKind::kCsrPlus, EngineKind::kCsrRls, EngineKind::kCsrIt,
+      EngineKind::kCsrNi};
   return kMethods;
 }
 
-Result<EnginePtr> CreateEngine(Method method, const CsrMatrix& transition,
-                               const RunConfig& config) {
-  service::EngineConfig engine_config;
-  engine_config.rank = config.rank;
-  engine_config.damping = config.damping;
-  engine_config.epsilon = config.epsilon;
-  engine_config.ni_fidelity = config.ni_fidelity;
-  engine_config.rp_samples = config.rp_samples;
-  engine_config.precision = config.precision;
-  return service::BuildEngine(ToEngineKind(method), transition, engine_config);
-}
-
-RunOutcome RunMethod(Method method, const CsrMatrix& transition,
+RunOutcome RunMethod(EngineKind kind, const CsrMatrix& transition,
                      const std::vector<Index>& queries,
                      const RunConfig& config) {
   RunOutcome outcome;
   auto engine = Measure(&outcome.precompute, [&] {
-    return CreateEngine(method, transition, config);
+    return service::BuildEngine(kind, transition, config);
   });
   if (!engine.ok()) {
     outcome.status = engine.status();

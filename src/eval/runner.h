@@ -1,60 +1,35 @@
-// Uniform method runner: executes any of the six algorithms on a
-// (transition matrix, query set) pair and reports per-phase wall time and
-// tracked peak memory. All figure/table benches are thin loops around this.
+// Uniform method runner: executes any engine kind on a (transition matrix,
+// query set) pair and reports per-phase wall time and tracked peak memory.
+// All figure/table benches are thin loops around this. Engines are built by
+// service::BuildEngine (engine_registry.h), the one method-dispatch
+// constructor; the runner only adds the phase measurements around it.
 
 #ifndef CSRPLUS_EVAL_RUNNER_H_
 #define CSRPLUS_EVAL_RUNNER_H_
 
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "baselines/ni_sim.h"
 #include "common/status.h"
-#include "core/csrplus_engine.h"
-#include "core/query_engine.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_matrix.h"
+#include "service/engine_registry.h"
 
 namespace csrplus::eval {
 
 using linalg::CsrMatrix;
 using linalg::DenseMatrix;
 using linalg::Index;
+using service::EngineKind;
 
-/// The algorithms under comparison. The first four are the paper's
-/// (Figures 2–9); the next two are Table 1 rows implemented as extensions,
-/// and kDynamic is the evolving-graph CSR+ engine served statically (it
-/// answers exactly like kCsrPlus until edges are inserted).
-enum class Method {
-  kCsrPlus,    // this paper
-  kCsrNi,      // Li et al. low-rank tensor-product method
-  kCsrIt,      // Rothe & Schütze iterative (all-pairs dense)
-  kCsrRls,     // Kusumoto-style per-query scheme
-  kCoSimMate,  // repeated squaring in n-space
-  kRpCoSim,    // Gaussian random projections
-  kDynamic,    // CSR+ with incremental SVD maintenance (dynamic_engine.h)
-};
+/// The paper's four benchmarked methods (Figures 2–9), in its plotting
+/// order: CSR+, CSR-RLS, CSR-IT, CSR-NI.
+const std::vector<EngineKind>& PaperMethods();
 
-/// Short display name ("CSR+", "CSR-NI", ...).
-std::string_view MethodName(Method method);
-
-/// The paper's four benchmarked methods, in its plotting order.
-const std::vector<Method>& PaperMethods();
-
-/// Shared algorithm parameters (defaults = the paper's §4.1 settings).
-struct RunConfig {
-  Index rank = 5;          ///< r; also the iteration count for IT/RLS.
-  double damping = 0.6;    ///< c.
-  double epsilon = 1e-5;   ///< CSR+ accuracy target.
-  baselines::NiFidelity ni_fidelity = baselines::NiFidelity::kFaithful;
-  Index rp_samples = 200;  ///< RP-CoSim sketch width.
-  bool keep_scores = true; ///< retain the score block in the outcome.
-  /// CSR+ serving tier (kF32 = quantised float factors + SIMD f32 kernels;
-  /// baselines ignore it). The engine's Name() and StateFingerprint()
-  /// change with the tier.
-  core::Precision precision = core::Precision::kF64;
+/// Engine construction parameters (defaults = the paper's §4.1 settings)
+/// plus what the runner does with the answer.
+struct RunConfig : service::EngineConfig {
+  bool keep_scores = true;  ///< retain the score block in the outcome.
 };
 
 /// Wall time and tracked allocation peak of one phase.
@@ -66,7 +41,7 @@ struct PhaseMetrics {
 /// Result of one (method, dataset, config) execution.
 struct RunOutcome {
   Status status;           ///< ResourceExhausted == the paper's "crash".
-  PhaseMetrics precompute; ///< query-independent work.
+  PhaseMetrics precompute; ///< query-independent work (BuildEngine).
   PhaseMetrics query;      ///< multi-source query work.
   DenseMatrix scores;      ///< n x |Q| block (empty if !keep_scores or fail).
 
@@ -76,17 +51,10 @@ struct RunOutcome {
   }
 };
 
-/// Builds the query engine for `method` — the query-independent phase of
-/// the run. CSR+/NI/IT/CoSimMate do all their precomputation here; RLS and
-/// RP-CoSim keep no state, so their engines are thin wrappers that redo the
-/// work per query call. `transition` must outlive the returned engine.
-/// Thin forwarder onto service::BuildEngine (engine_registry.h), which owns
-/// the method -> constructor dispatch.
-Result<std::unique_ptr<core::QueryEngine>> CreateEngine(
-    Method method, const CsrMatrix& transition, const RunConfig& config);
-
-/// Runs `method` end to end. Never throws; failures land in `status`.
-RunOutcome RunMethod(Method method, const CsrMatrix& transition,
+/// Runs `kind` end to end: service::BuildEngine is the precompute phase
+/// (RLS and RP-CoSim keep no state, so theirs is near zero), then one
+/// multi-source query. Never throws; failures land in `status`.
+RunOutcome RunMethod(EngineKind kind, const CsrMatrix& transition,
                      const std::vector<Index>& queries,
                      const RunConfig& config);
 

@@ -106,6 +106,16 @@ Status Truncated(const char* what) {
                                  what);
 }
 
+/// Decoders accept exactly kProtocolVersion; anything else is the typed
+/// kFailedPrecondition.
+Status CheckVersion(uint16_t version) {
+  if (version == kProtocolVersion) return Status::OK();
+  return Status::FailedPrecondition(
+      "wire protocol version mismatch: peer speaks v" +
+      std::to_string(version) + ", this build speaks v" +
+      std::to_string(kProtocolVersion));
+}
+
 /// Starts a frame: emits the header placeholder and returns its offset so
 /// FinishFrame can patch the real payload length in.
 std::size_t BeginFrame(std::string* out) {
@@ -260,33 +270,24 @@ Result<WireRequest> DecodeRequest(const uint8_t* payload, std::size_t size) {
   Reader reader(payload, size);
   uint16_t version = 0;
   if (!reader.ReadU16(&version)) return Truncated("request header");
-  if (version < kMinDecodableVersion || version > kProtocolVersion) {
-    return Status::FailedPrecondition(
-        "wire protocol version mismatch: peer speaks v" +
-        std::to_string(version) + ", this build speaks v" +
-        std::to_string(kProtocolVersion));
-  }
+  CSR_RETURN_IF_ERROR(CheckVersion(version));
   WireRequest request;
   uint8_t method = 0, flags = 0, quality = 0;
   uint32_t top_k = 0, num_queries = 0;
+  uint16_t graph_bytes = 0;
   if (!reader.ReadU8(&method) || !reader.ReadU8(&flags) ||
       !reader.ReadU8(&quality) || !reader.ReadU32(&top_k) ||
       !reader.ReadU64(&request.deadline_micros)) {
     return Truncated("request header");
   }
-  if (version >= 3) {
-    // v3: u16-length-prefixed graph name. v2 frames carry no graph field and
-    // keep the default (empty) graph_id, i.e. the server's default tenant.
-    uint16_t graph_bytes = 0;
-    if (!reader.ReadU16(&graph_bytes)) return Truncated("request graph id");
-    if (graph_bytes > kMaxGraphIdBytes) {
-      return Status::InvalidArgument("request graph id exceeds " +
-                                     std::to_string(kMaxGraphIdBytes) +
-                                     " bytes");
-    }
-    if (!reader.ReadBytes(graph_bytes, &request.graph_id)) {
-      return Truncated("request graph id");
-    }
+  if (!reader.ReadU16(&graph_bytes)) return Truncated("request graph id");
+  if (graph_bytes > kMaxGraphIdBytes) {
+    return Status::InvalidArgument("request graph id exceeds " +
+                                   std::to_string(kMaxGraphIdBytes) +
+                                   " bytes");
+  }
+  if (!reader.ReadBytes(graph_bytes, &request.graph_id)) {
+    return Truncated("request graph id");
   }
   if (!reader.ReadU32(&num_queries)) return Truncated("request header");
   if (method > static_cast<uint8_t>(Method::kQuery)) {
@@ -319,13 +320,7 @@ Result<WireResponse> DecodeResponse(const uint8_t* payload, std::size_t size) {
   Reader reader(payload, size);
   uint16_t version = 0;
   if (!reader.ReadU16(&version)) return Truncated("response header");
-  // The response layout is unchanged between v2 and v3.
-  if (version < kMinDecodableVersion || version > kProtocolVersion) {
-    return Status::FailedPrecondition(
-        "wire protocol version mismatch: peer speaks v" +
-        std::to_string(version) + ", this build speaks v" +
-        std::to_string(kProtocolVersion));
-  }
+  CSR_RETURN_IF_ERROR(CheckVersion(version));
   WireResponse response;
   uint32_t message_bytes = 0;
   if (!reader.ReadU16(&response.status_code) ||
@@ -359,8 +354,13 @@ Result<WireResponse> DecodeResponse(const uint8_t* payload, std::size_t size) {
       if (!reader.ReadI64(&n) || !reader.ReadU32(&cols)) {
         return Truncated("score block header");
       }
+      // Overflow-safe: a hostile n * cols * 8 must not wrap around to the
+      // remaining byte count and smuggle a giant allocation past this check.
+      std::size_t block_bytes = 0;
       if (n < 0 ||
-          static_cast<std::size_t>(n) * cols * 8 != reader.remaining()) {
+          __builtin_mul_overflow(static_cast<std::size_t>(n),
+                                 std::size_t{cols} * 8, &block_bytes) ||
+          block_bytes != reader.remaining()) {
         return Status::InvalidArgument(
             "score block dimensions do not match frame size");
       }

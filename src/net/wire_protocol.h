@@ -17,9 +17,7 @@
 // and the response tier echo (which serving tier actually answered); see
 // docs/serving-tiers.md for the routing semantics. v3 added the request
 // graph_id (multi-graph tenancy; docs/mutations.md) — a u16-length-prefixed
-// UTF-8 name between the deadline and the query count. Decoders still
-// accept v2 frames, which carry no graph field and resolve to the default
-// tenant; the response layout is unchanged between v2 and v3.
+// UTF-8 name between the deadline and the query count.
 //
 // The response body is EITHER the full n x |Q| score block (body_kind 1:
 // n:i64 num_queries:u32 then n*|Q| row-major doubles — a raw copy of the
@@ -33,8 +31,9 @@
 // any frame whose declared payload exceeds its `max_frame_bytes`, so a
 // garbage or hostile peer costs one u32 read, never an allocation.
 //
-// Versioning: `kProtocolVersion` is checked on both sides; a mismatch is a
-// typed kFailedPrecondition, mirroring the .cspc artifact version policy.
+// Versioning: decoders on both sides accept exactly `kProtocolVersion`; any
+// other version is a typed kFailedPrecondition, mirroring the .cspc artifact
+// version policy.
 // Reference: docs/wire-protocol.md documents the byte layout normatively.
 
 #ifndef CSRPLUS_NET_WIRE_PROTOCOL_H_
@@ -59,10 +58,6 @@ using linalg::Index;
 /// tier:u8 before body_kind (the serving-tier contract). v3: request
 /// graph_bytes:u16 + graph name before num_queries (multi-graph tenancy).
 inline constexpr uint16_t kProtocolVersion = 3;
-
-/// Oldest request/response version a decoder still accepts. v2 frames have
-/// no graph field; decode maps them to an empty graph_id (default tenant).
-inline constexpr uint16_t kMinDecodableVersion = 2;
 
 /// Wire bound on the graph name (u16 length prefix; generous in practice).
 inline constexpr std::size_t kMaxGraphIdBytes = 255;
@@ -97,7 +92,7 @@ struct WireRequest {
   /// the enum's fixed wire values; decoders reject anything > best-effort.
   service::QualityClass quality = service::QualityClass::kExact;
   /// Which served graph this request targets (v3). Empty = the server's
-  /// default tenant — also what decoding a v2 frame yields. At most
+  /// default tenant. At most
   /// kMaxGraphIdBytes bytes; the server answers kNotFound for unknown names.
   std::string graph_id;
   std::vector<int64_t> queries;

@@ -23,7 +23,41 @@ Result<EnginePtr> Erase(Result<Engine> engine) {
   return EnginePtr(std::make_unique<Engine>(std::move(*engine)));
 }
 
+// The tenant's csrplus.tenant.<name>.<metric> counter. Under
+// CSRPLUS_OBS_DISABLED the stats registry must stay empty, so every handle
+// is one unregistered sink instead.
+obs::Counter* TenantCounter(const std::string& name, const char* metric,
+                            const char* unit, const char* help) {
+#if defined(CSRPLUS_OBS_DISABLED)
+  static obs::Counter sink;
+  return &sink;
+#else
+  return obs::StatsRegistry::Global().FindOrCreateCounter(
+      "csrplus.tenant." + name + "." + metric, unit, help);
+#endif
+}
+
 }  // namespace
+
+std::string_view EngineKindName(EngineKind kind) {
+  switch (kind) {
+    case EngineKind::kCsrPlus:
+      return "CSR+";
+    case EngineKind::kCsrNi:
+      return "CSR-NI";
+    case EngineKind::kCsrIt:
+      return "CSR-IT";
+    case EngineKind::kCsrRls:
+      return "CSR-RLS";
+    case EngineKind::kCoSimMate:
+      return "CoSimMate";
+    case EngineKind::kRpCoSim:
+      return "RP-CoSim";
+    case EngineKind::kDynamic:
+      return "CSR+dyn";
+  }
+  return "?";
+}
 
 Result<EnginePtr> BuildEngine(EngineKind kind, const CsrMatrix& transition,
                               const EngineConfig& config) {
@@ -91,12 +125,13 @@ Result<EnginePtr> BuildEngine(EngineKind kind, const CsrMatrix& transition,
 // One served graph: its storage, engine lineage, cache slice, service and
 // metric handles. The registry map owns it; the address is stable.
 struct EngineRegistry::Tenant {
-  std::string name;
   /// Owned backing store for engines that reference the transition in place
   /// (RLS, RP-CoSim); unique_ptr keeps the address stable across map ops.
+  /// Null for AddTenantWithEngine tenants.
   std::unique_ptr<CsrMatrix> transition;
-  /// Head of the mutable lineage for kDynamic tenants (null otherwise);
-  /// ApplyUpdates clones it, mutates the clone and swaps this pointer.
+  /// Head of the mutable lineage when the tenant serves a
+  /// DynamicCsrPlusEngine (null otherwise); ApplyUpdates clones it, mutates
+  /// the clone and swaps this pointer.
   std::shared_ptr<const core::DynamicCsrPlusEngine> dynamic;
   std::unique_ptr<cache::ColumnCache> cache;
   std::unique_ptr<QueryService> service;
@@ -122,77 +157,15 @@ void EngineRegistry::Shutdown() {
   }
 }
 
-Status EngineRegistry::AddTenantLocked(const std::string& name,
-                                       std::unique_ptr<Tenant> tenant) {
-  if (name.empty()) {
-    return Status::InvalidArgument("tenant name must not be empty");
-  }
-  if (tenants_.count(name) != 0) {
-    return Status::InvalidArgument("tenant '" + name +
-                                   "' is already registered");
-  }
-  auto& registry = obs::StatsRegistry::Global();
-  const std::string prefix = "csrplus.tenant." + name + ".";
-  tenant->requests = registry.FindOrCreateCounter(
-      prefix + "requests", "requests",
-      "requests routed to this tenant's service");
-  tenant->update_batches = registry.FindOrCreateCounter(
-      prefix + "update_batches", "batches",
-      "ApplyUpdates batches published for this tenant");
-  tenant->updates = registry.FindOrCreateCounter(
-      prefix + "updates", "updates",
-      "effective edge updates absorbed by this tenant");
-  tenant->rebuilds = registry.FindOrCreateCounter(
-      prefix + "rebuilds", "rebuilds",
-      "update batches that triggered a full SVD rebuild");
-  tenant->touched_columns = registry.FindOrCreateCounter(
-      prefix + "touched_columns", "columns",
-      "columns reported touched by this tenant's update receipts");
-  tenants_.emplace(name, std::move(tenant));
-  order_.push_back(name);
-  return Status::OK();
-}
-
 Status EngineRegistry::AddTenant(const std::string& name, CsrMatrix transition,
                                  const TenantOptions& options) {
-  auto tenant = std::make_unique<Tenant>();
-  tenant->name = name;
-  tenant->transition = std::make_unique<CsrMatrix>(std::move(transition));
-
-  std::shared_ptr<const core::QueryEngine> engine;
-  if (options.kind == EngineKind::kDynamic) {
-    // Keep the typed handle: ApplyUpdates clones and republishes it.
-    core::DynamicOptions dynamic_options;
-    dynamic_options.base.rank = options.config.rank;
-    dynamic_options.base.damping = options.config.damping;
-    dynamic_options.base.epsilon = options.config.epsilon;
-    dynamic_options.max_incremental_updates =
-        options.config.max_incremental_updates;
-    auto built = core::DynamicCsrPlusEngine::BuildFromTransition(
-        *tenant->transition, dynamic_options);
-    if (!built.ok()) return built.status();
-    tenant->dynamic =
-        std::make_shared<const core::DynamicCsrPlusEngine>(std::move(*built));
-    engine = tenant->dynamic;
-  } else {
-    auto built = BuildEngine(options.kind, *tenant->transition, options.config);
-    if (!built.ok()) return built.status();
-    engine = std::shared_ptr<const core::QueryEngine>(std::move(*built));
-  }
-
-  if (options.cache_capacity_bytes > 0) {
-    cache::ColumnCacheOptions cache_options;
-    cache_options.capacity_bytes = options.cache_capacity_bytes;
-    cache_options.num_shards = options.cache_shards;
-    tenant->cache = std::make_unique<cache::ColumnCache>(cache_options);
-  }
-  ServiceOptions service_options = options.service;
-  service_options.cache = tenant->cache.get();
-  tenant->service =
-      std::make_unique<QueryService>(std::move(engine), service_options);
-
-  std::lock_guard<std::mutex> lk(mu_);
-  return AddTenantLocked(name, std::move(tenant));
+  auto owned = std::make_unique<CsrMatrix>(std::move(transition));
+  auto built = BuildEngine(options.kind, *owned, options.config);
+  if (!built.ok()) return built.status();
+  return AddBuiltTenant(name, std::move(owned),
+                        std::shared_ptr<const core::QueryEngine>(
+                            std::move(*built)),
+                        options);
 }
 
 Status EngineRegistry::AddTenantWithEngine(
@@ -201,8 +174,19 @@ Status EngineRegistry::AddTenantWithEngine(
   if (engine == nullptr) {
     return Status::InvalidArgument("tenant engine must not be null");
   }
+  return AddBuiltTenant(name, nullptr, std::move(engine), options);
+}
+
+Status EngineRegistry::AddBuiltTenant(
+    const std::string& name, std::unique_ptr<CsrMatrix> transition,
+    std::shared_ptr<const core::QueryEngine> engine,
+    const TenantOptions& options) {
   auto tenant = std::make_unique<Tenant>();
-  tenant->name = name;
+  tenant->transition = std::move(transition);
+  // Keep the typed handle of a dynamic engine: ApplyUpdates clones and
+  // republishes it.
+  tenant->dynamic =
+      std::dynamic_pointer_cast<const core::DynamicCsrPlusEngine>(engine);
   if (options.cache_capacity_bytes > 0) {
     cache::ColumnCacheOptions cache_options;
     cache_options.capacity_bytes = options.cache_capacity_bytes;
@@ -215,7 +199,30 @@ Status EngineRegistry::AddTenantWithEngine(
       std::make_unique<QueryService>(std::move(engine), service_options);
 
   std::lock_guard<std::mutex> lk(mu_);
-  return AddTenantLocked(name, std::move(tenant));
+  if (name.empty()) {
+    return Status::InvalidArgument("tenant name must not be empty");
+  }
+  if (tenants_.count(name) != 0) {
+    return Status::InvalidArgument("tenant '" + name +
+                                   "' is already registered");
+  }
+  tenant->requests = TenantCounter(name, "requests", "requests",
+                                   "requests routed to this tenant's service");
+  tenant->update_batches =
+      TenantCounter(name, "update_batches", "batches",
+                    "ApplyUpdates batches published for this tenant");
+  tenant->updates =
+      TenantCounter(name, "updates", "updates",
+                    "effective edge updates absorbed by this tenant");
+  tenant->rebuilds =
+      TenantCounter(name, "rebuilds", "rebuilds",
+                    "update batches that triggered a full SVD rebuild");
+  tenant->touched_columns = TenantCounter(
+      name, "touched_columns", "columns",
+      "columns reported touched by this tenant's update receipts");
+  tenants_.emplace(name, std::move(tenant));
+  order_.push_back(name);
+  return Status::OK();
 }
 
 EngineRegistry::Tenant* EngineRegistry::FindTenant(

@@ -1,27 +1,31 @@
 // Named multi-graph engine registry — one process, many served graphs.
 //
-// Before this existed every caller wired its own engine: the CLI built one
-// engine + one service per invocation, eval::CreateEngine duplicated the
-// method -> constructor switch, and mutation had no sanctioned path into a
-// serving stack at all. The registry collapses that into one surface:
+// This is the one engine factory and the one serving surface:
 //
 //   * BuildEngine(kind, transition, config) — the single method-dispatch
-//     constructor. eval::CreateEngine is now a thin forwarder onto it.
+//     constructor. The eval runner, the CLI and AddTenant all build their
+//     engines through it.
 //   * EngineRegistry — named tenants, each owning its transition matrix,
 //     engine lineage, optional column cache and QueryService. The socket
 //     front end routes wire-protocol `graph_id` to a tenant's service
-//     (server.h); `serve --graphs=a=...,b=...` populates it from the CLI.
+//     (server.h). `csrplus serve` always serves through a registry: a
+//     positional <graph> is the one-tenant spec `default=<graph>`, and
+//     `--graphs=a=...,b=...` adds one tenant per name. Cold tenants come
+//     from AddTenant; artifact warm starts hand a loaded engine to
+//     AddTenantWithEngine. Both share one tail (cache slice, service,
+//     metrics).
 //
 // Isolation: every tenant gets its own cache capacity slice and its own
 // ServiceOptions::max_outstanding_bytes admission cap, so one tenant's
 // burst degrades only that tenant (enforced by engine_registry_test).
 //
 // Mutation: ApplyUpdates(name, updates) is the live-update entry point for
-// dynamic tenants. It clones the tenant's current DynamicCsrPlusEngine,
-// applies the batch to the clone off the serving path, and publishes the
-// new generation through QueryService::PublishEngine — queries never block,
-// and the UpdateReceipt drives delta-aware cache eviction
-// (docs/mutations.md). Per-tenant writers are serialised internally.
+// tenants serving a DynamicCsrPlusEngine. It clones the tenant's current
+// generation, applies the batch to the clone off the serving path, and
+// publishes the new generation through QueryService::PublishEngine —
+// queries never block, and the UpdateReceipt drives delta-aware cache
+// eviction (docs/mutations.md). Per-tenant writers are serialised
+// internally.
 //
 // Observability: per-tenant csrplus.tenant.<graph>.* metrics (requests,
 // update_batches, updates, rebuilds, touched_columns) — dynamic names, one
@@ -36,6 +40,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/ni_sim.h"
@@ -50,7 +55,10 @@ namespace csrplus::service {
 using linalg::CsrMatrix;
 
 /// The engine families one registry (or the eval runner) can construct.
-/// Mirrors eval::Method; the numeric order is not a contract.
+/// The first four are the paper's (Figures 2–9); the next two are Table 1
+/// rows implemented as extensions, and kDynamic is the evolving-graph CSR+
+/// engine (it answers exactly like kCsrPlus until edges change). The
+/// numeric order is not a contract.
 enum class EngineKind {
   kCsrPlus,    // this paper
   kCsrNi,      // Li et al. low-rank tensor-product method
@@ -75,10 +83,15 @@ struct EngineConfig {
   int max_incremental_updates = 64;
 };
 
+/// Short display name ("CSR+", "CSR-NI", ...); equals the built engine's
+/// QueryEngine::Name() at the f64 tier.
+std::string_view EngineKindName(EngineKind kind);
+
 /// Builds a query engine of `kind` over `transition` — the one
-/// method-dispatch constructor behind eval::CreateEngine, the CLI and the
-/// registry. `transition` must outlive the returned engine (RLS and
-/// RP-CoSim hold a pointer rather than a copy).
+/// method-dispatch constructor behind the eval runner, the CLI and the
+/// registry. CSR+/NI/IT/CoSimMate/dynamic do all their precomputation
+/// here; RLS and RP-CoSim keep no state. `transition` must outlive the
+/// returned engine (RLS and RP-CoSim hold a pointer rather than a copy).
 Result<std::unique_ptr<core::QueryEngine>> BuildEngine(
     EngineKind kind, const CsrMatrix& transition, const EngineConfig& config);
 
@@ -113,9 +126,9 @@ class EngineRegistry {
                    const TenantOptions& options);
 
   /// Creates a tenant around an engine built elsewhere (artifact warm
-  /// starts, custom stacks). The tenant serves and routes like any other
-  /// but cannot ApplyUpdates unless the engine is a DynamicCsrPlusEngine
-  /// lineage the caller keeps publishing itself.
+  /// starts, custom stacks). `options.kind` and `options.config` are
+  /// ignored; the tenant serves, routes and (for a DynamicCsrPlusEngine)
+  /// mutates like any other.
   Status AddTenantWithEngine(const std::string& name,
                              std::shared_ptr<const core::QueryEngine> engine,
                              const TenantOptions& options);
@@ -132,11 +145,13 @@ class EngineRegistry {
   /// The tenant's cache slice (null when the tenant has none / is unknown).
   cache::ColumnCache* TenantCache(const std::string& name) const;
 
-  /// The tenant's current engine snapshot (null when unknown).
+  /// The tenant's current engine snapshot (null when unknown). RLS and
+  /// RP-CoSim snapshots read the tenant's transition matrix in place, so
+  /// they are usable only while the registry lives.
   std::shared_ptr<const core::QueryEngine> TenantEngine(
       const std::string& name) const;
 
-  /// Applies a mutation batch to a kDynamic tenant: clones the current
+  /// Applies a mutation batch to a dynamic tenant: clones the current
   /// engine generation, applies `updates` off the serving path, publishes
   /// the result (PublishEngine handles the RCU grace period and the
   /// receipt-driven cache eviction) and records per-tenant metrics.
@@ -157,8 +172,13 @@ class EngineRegistry {
  private:
   struct Tenant;
 
-  Status AddTenantLocked(const std::string& name,
-                         std::unique_ptr<Tenant> tenant);
+  /// The shared tail of AddTenant and AddTenantWithEngine: cache slice,
+  /// service and metric handles, then registration. `transition` may be
+  /// null (the engine owns or does not need its matrix).
+  Status AddBuiltTenant(const std::string& name,
+                        std::unique_ptr<CsrMatrix> transition,
+                        std::shared_ptr<const core::QueryEngine> engine,
+                        const TenantOptions& options);
   Tenant* FindTenant(const std::string& name) const;
 
   mutable std::mutex mu_;  // guards tenants_ / order_; not per-tenant state

@@ -60,12 +60,6 @@ QueryService::QueryService(std::shared_ptr<const core::QueryEngine> engine,
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
-QueryService::QueryService(const core::QueryEngine* engine,
-                           ServiceOptions options)
-    : QueryService(std::shared_ptr<const core::QueryEngine>(
-                       engine, [](const core::QueryEngine*) {}),
-                   options) {}
-
 const core::QueryEngine* QueryService::EngineFor(
     const core::QueryEngine* exact, ServedTier tier) const {
   if (tier == ServedTier::kApproximate &&

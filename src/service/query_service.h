@@ -167,10 +167,6 @@ class QueryService {
   /// least until the snapshot is superseded and the last query drains.
   explicit QueryService(std::shared_ptr<const core::QueryEngine> engine,
                         ServiceOptions options = {});
-  /// Non-owning convenience overload: the caller guarantees `engine`
-  /// outlives the service (the original single-engine wiring).
-  explicit QueryService(const core::QueryEngine* engine,
-                        ServiceOptions options = {});
   ~QueryService();
 
   QueryService(const QueryService&) = delete;

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -319,18 +320,20 @@ TEST(ColumnCacheTest, LookupUnderConcurrentEvictionKeepsExactAccounting) {
 // ---------------------------------------------------------------------------
 // Service integration: cached serving must be bit-identical to uncached.
 
-core::CsrPlusEngine MakeEngine(Index nodes, int64_t edges, uint64_t seed) {
+std::shared_ptr<const core::CsrPlusEngine> MakeEngine(Index nodes,
+                                                     int64_t edges,
+                                                     uint64_t seed) {
   auto graph = RandomGraph(nodes, edges, seed);
   core::CsrPlusOptions options;
   options.rank = 8;
   auto engine = core::CsrPlusEngine::Precompute(graph, options);
   CSR_CHECK(engine.ok()) << engine.status().ToString();
-  return std::move(*engine);
+  return std::make_shared<const core::CsrPlusEngine>(std::move(*engine));
 }
 
 TEST(ColumnCacheServiceTest, CachedServingIsBitIdenticalAcrossThreadCounts) {
   auto engine = MakeEngine(90, 600, 17);
-  ASSERT_NE(engine.StateFingerprint(), 0u);
+  ASSERT_NE(engine->StateFingerprint(), 0u);
   // Repeat every query set so the second pass is served from cache.
   const std::vector<std::vector<Index>> sets = {
       {1, 2, 3}, {2, 3, 4}, {50, 2}, {89, 1, 50}, {7}, {1, 2, 3}, {50, 2}};
@@ -339,7 +342,7 @@ TEST(ColumnCacheServiceTest, CachedServingIsBitIdenticalAcrossThreadCounts) {
   {
     ScopedNumThreads one(1);
     for (const auto& queries : sets) {
-      auto direct = engine.MultiSourceQuery(queries);
+      auto direct = engine->MultiSourceQuery(queries);
       ASSERT_TRUE(direct.ok());
       expected.push_back(std::move(*direct));
     }
@@ -350,7 +353,7 @@ TEST(ColumnCacheServiceTest, CachedServingIsBitIdenticalAcrossThreadCounts) {
     ColumnCache cache;
     service::ServiceOptions options;
     options.cache = &cache;
-    service::QueryService service(&engine, options);
+    service::QueryService service(engine, options);
     for (int pass = 0; pass < 2; ++pass) {
       for (std::size_t i = 0; i < sets.size(); ++i) {
         service::QueryRequest request;
@@ -375,11 +378,15 @@ TEST(ColumnCacheServiceTest, F32ColumnsAreNeverServedToF64Requests) {
   auto graph = RandomGraph(50, 300, 31);
   core::CsrPlusOptions options;
   options.rank = 6;
-  auto f64_engine = core::CsrPlusEngine::Precompute(graph, options);
-  ASSERT_TRUE(f64_engine.ok()) << f64_engine.status().ToString();
+  auto f64_built = core::CsrPlusEngine::Precompute(graph, options);
+  ASSERT_TRUE(f64_built.ok()) << f64_built.status().ToString();
   options.precision = core::Precision::kF32;
-  auto f32_engine = core::CsrPlusEngine::Precompute(graph, options);
-  ASSERT_TRUE(f32_engine.ok()) << f32_engine.status().ToString();
+  auto f32_built = core::CsrPlusEngine::Precompute(graph, options);
+  ASSERT_TRUE(f32_built.ok()) << f32_built.status().ToString();
+  const auto f64_engine =
+      std::make_shared<const core::CsrPlusEngine>(std::move(*f64_built));
+  const auto f32_engine =
+      std::make_shared<const core::CsrPlusEngine>(std::move(*f32_built));
 
   const uint64_t fp64 = f64_engine->StateFingerprint();
   const uint64_t fp32 = f32_engine->StateFingerprint();
@@ -405,12 +412,12 @@ TEST(ColumnCacheServiceTest, F32ColumnsAreNeverServedToF64Requests) {
   service::ServiceOptions service_options;
   service_options.cache = &cache;
   {
-    service::QueryService f32_service(&*f32_engine, service_options);
+    service::QueryService f32_service(f32_engine, service_options);
     service::QueryRequest request;
     request.queries = queries;
     ASSERT_TRUE(f32_service.Query(std::move(request)).status.ok());
   }
-  service::QueryService f64_service(&*f64_engine, service_options);
+  service::QueryService f64_service(f64_engine, service_options);
   service::QueryRequest request;
   request.queries = queries;
   service::QueryResponse response = f64_service.Query(std::move(request));

@@ -209,28 +209,5 @@ TEST(AllPairsTest, SatisfiesFixedPointEquation) {
   EXPECT_TRUE(MatricesNear(*s, qtsq, 1e-10));
 }
 
-TEST(DeprecatedWrappersTest, StillDelegateToTheReferenceEngine) {
-  // The free functions are deprecated shims over ReferenceEngine; until they
-  // are removed they must return bit-identical answers.
-  CsrMatrix q = Figure1Transition();
-  CoSimRankOptions options;
-  options.iterations = 12;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto legacy_column = SingleSourceCoSimRank(q, 2, options);
-  auto legacy_block = MultiSourceCoSimRank(q, {2, 4}, options);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(legacy_column.ok() && legacy_block.ok());
-  auto column = SingleSource(q, 2, options);
-  auto block = MultiSource(q, {2, 4}, options);
-  ASSERT_TRUE(column.ok() && block.ok());
-  for (Index i = 0; i < 6; ++i) {
-    EXPECT_EQ((*legacy_column)[static_cast<std::size_t>(i)],
-              (*column)[static_cast<std::size_t>(i)]);
-    EXPECT_EQ((*legacy_block)(i, 0), (*block)(i, 0));
-    EXPECT_EQ((*legacy_block)(i, 1), (*block)(i, 1));
-  }
-}
-
 }  // namespace
 }  // namespace csrplus::core

@@ -1,9 +1,10 @@
 // Tests for service::EngineRegistry and service::BuildEngine: tenant
 // lifecycle (add/duplicate/unknown), request routing incl. the default
 // tenant, the live-mutation path (clone -> ApplyUpdates -> PublishEngine)
-// with its typed failures, per-tenant budget isolation, equivalence of the
-// eval::CreateEngine forwarder with direct BuildEngine calls, and an
-// in-process mutate-while-serve hammer (the CI TSan job runs this file).
+// with its typed failures, per-tenant budget isolation, equivalence of
+// every construction surface (eval runner, AddTenant, AddTenantWithEngine)
+// with direct BuildEngine calls, and an in-process mutate-while-serve hammer
+// (the CI TSan job runs this file).
 
 #include "service/engine_registry.h"
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/csrplus_engine.h"
 #include "core/dynamic_engine.h"
 #include "eval/runner.h"
 #include "graph/normalize.h"
@@ -192,35 +194,100 @@ TEST(EngineRegistryTest, PerTenantBudgetIsolation) {
   EXPECT_TRUE(served.status.ok()) << served.status.ToString();
 }
 
-TEST(EngineRegistryTest, EvalCreateEngineForwardsToBuildEngine) {
-  // The eval runner's factory is a thin forwarder over BuildEngine: for
-  // every method the two construct engines with bit-identical answers.
+TEST(EngineRegistryTest, EveryKindBuildsTheSameEngineOnEverySurface) {
+  // BuildEngine is the one method-dispatch constructor: for every kind, the
+  // eval runner and a registry tenant answer bit-identically to a direct
+  // BuildEngine call, and the engine reports the kind's display name.
   const CsrMatrix transition = MakeTransition(25, 120, 21);
   const std::vector<Index> queries = {4, 11};
-  const std::vector<std::pair<eval::Method, EngineKind>> pairs = {
-      {eval::Method::kCsrPlus, EngineKind::kCsrPlus},
-      {eval::Method::kCsrNi, EngineKind::kCsrNi},
-      {eval::Method::kCsrIt, EngineKind::kCsrIt},
-      {eval::Method::kCsrRls, EngineKind::kCsrRls},
-      {eval::Method::kCoSimMate, EngineKind::kCoSimMate},
-      {eval::Method::kRpCoSim, EngineKind::kRpCoSim},
-      {eval::Method::kDynamic, EngineKind::kDynamic},
-  };
-  for (const auto& [method, kind] : pairs) {
-    eval::RunConfig run_config;
-    run_config.rank = 5;
-    auto via_eval = eval::CreateEngine(method, transition, run_config);
-    ASSERT_TRUE(via_eval.ok()) << via_eval.status().ToString();
-    EngineConfig config;
-    config.rank = 5;
-    auto via_build = BuildEngine(kind, transition, config);
-    ASSERT_TRUE(via_build.ok()) << via_build.status().ToString();
-    auto a = (*via_eval)->MultiSourceQuery(queries);
-    auto b = (*via_build)->MultiSourceQuery(queries);
-    ASSERT_TRUE(a.ok() && b.ok()) << static_cast<int>(method);
-    EXPECT_TRUE(*a == *b) << "method " << static_cast<int>(method)
-                          << " diverges from BuildEngine";
+  for (const EngineKind kind :
+       {EngineKind::kCsrPlus, EngineKind::kCsrNi, EngineKind::kCsrIt,
+        EngineKind::kCsrRls, EngineKind::kCoSimMate, EngineKind::kRpCoSim,
+        EngineKind::kDynamic}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    const EngineConfig config;  // the defaults eval::RunConfig{} also has
+    auto built = BuildEngine(kind, transition, config);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    EXPECT_EQ((*built)->Name(), EngineKindName(kind));
+    auto direct = (*built)->MultiSourceQuery(queries);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+
+    const eval::RunOutcome outcome =
+        eval::RunMethod(kind, transition, queries, eval::RunConfig{});
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    EXPECT_TRUE(outcome.scores == *direct) << "eval runner diverges";
+
+    EngineRegistry registry;
+    TenantOptions options;
+    options.kind = kind;
+    options.config = config;
+    ASSERT_TRUE(registry.AddTenant("t", CsrMatrix(transition), options).ok());
+    auto served = registry.TenantEngine("t")->MultiSourceQuery(queries);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_TRUE(*served == *direct) << "registry tenant diverges";
   }
+}
+
+TEST(EngineRegistryTest, PrebuiltEngineTenantServesLikeABuiltOne) {
+  // AddTenantWithEngine (the artifact warm-start path) shares AddTenant's
+  // tail: a pre-built CsrPlusEngine answers bit-identically to an AddTenant
+  // tenant on the same graph, gets its own cache slice, and is reachable by
+  // name and — when added first — as the default route.
+  const CsrMatrix transition = MakeTransition(30, 150, 37);
+  EngineConfig config;
+  core::CsrPlusOptions csr_options;
+  csr_options.rank = config.rank;
+  csr_options.damping = config.damping;
+  csr_options.epsilon = config.epsilon;
+  auto prebuilt =
+      core::CsrPlusEngine::PrecomputeFromTransition(transition, csr_options);
+  ASSERT_TRUE(prebuilt.ok()) << prebuilt.status().ToString();
+
+  EngineRegistry registry;
+  TenantOptions options;
+  options.config = config;
+  options.cache_capacity_bytes = 1 << 20;
+  ASSERT_TRUE(registry
+                  .AddTenantWithEngine(
+                      "warm",
+                      std::make_shared<const core::CsrPlusEngine>(
+                          std::move(*prebuilt)),
+                      options)
+                  .ok());
+  ASSERT_TRUE(registry.AddTenant("cold", CsrMatrix(transition), options).ok());
+
+  EXPECT_EQ(registry.default_tenant(), "warm");
+  EXPECT_EQ(registry.Route(""), registry.Find("warm"));
+  EXPECT_EQ(registry.Route("warm"), registry.Find("warm"));
+  ASSERT_NE(registry.TenantCache("warm"), nullptr);
+  EXPECT_NE(registry.TenantCache("warm"), registry.TenantCache("cold"));
+
+  const auto query = [&](const std::string& graph_id) {
+    QueryRequest request;
+    request.queries = {2, 9, 21};
+    return registry.Route(graph_id)->Query(std::move(request));
+  };
+  const QueryResponse warm = query("");
+  const QueryResponse cold = query("cold");
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_TRUE(warm.scores == cold.scores)
+      << "pre-built tenant diverges from the AddTenant tenant";
+
+  // Each tenant caches in its own slice: repeating the query hits the warm
+  // slice and leaves the cold slice's hit count at zero.
+  EXPECT_GT(registry.TenantCache("warm")->Stats().inserts, 0);
+  const QueryResponse again = query("warm");
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_TRUE(again.scores == warm.scores);
+  EXPECT_GT(registry.TenantCache("warm")->Stats().hits, 0);
+  EXPECT_EQ(registry.TenantCache("cold")->Stats().hits, 0);
+
+  // A non-dynamic pre-built tenant is not mutable.
+  const core::EdgeUpdate update = core::EdgeUpdate::Insert(0, 1);
+  EXPECT_TRUE(registry.ApplyUpdates("warm", {&update, 1})
+                  .status()
+                  .IsFailedPrecondition());
 }
 
 TEST(EngineRegistryTest, MutateWhileServeHammer) {

@@ -40,14 +40,15 @@ namespace {
 using csrplus::testing::RandomGraph;
 using linalg::Index;
 
-core::CsrPlusEngine MakeEngine(Index nodes = 100, int64_t edges = 700,
-                               uint64_t seed = 11) {
+std::shared_ptr<const core::CsrPlusEngine> MakeEngine(Index nodes = 100,
+                                                     int64_t edges = 700,
+                                                     uint64_t seed = 11) {
   auto graph = RandomGraph(nodes, edges, seed);
   core::CsrPlusOptions options;
   options.rank = 8;
   auto engine = core::CsrPlusEngine::Precompute(graph, options);
   CSR_CHECK(engine.ok()) << engine.status().ToString();
-  return std::move(*engine);
+  return std::make_shared<const core::CsrPlusEngine>(std::move(*engine));
 }
 
 /// An engine wrapper whose queries block until released (mirrors the one in
@@ -303,13 +304,11 @@ TEST(WireProtocolTest, V3GraphIdRoundTripsInRequests) {
   EXPECT_TRUE(unnamed_decoded->graph_id.empty());
 }
 
-TEST(WireProtocolTest, V2RequestsDecodeWithDefaultGraphId) {
-  // Rewrite a v3 frame as the v2 layout: patch the version word and splice
-  // out the (empty) u16 graph-length field that v2 never carried. A v2 peer
-  // must keep decoding, landing on the default tenant.
+TEST(WireProtocolTest, V2FramesAreRejected) {
+  // Decoders accept exactly kProtocolVersion. A v2 request (no graph-length
+  // field) and a v2-stamped response are both typed kFailedPrecondition.
   WireRequest request;
   request.top_k = 3;
-  request.deadline_micros = 42;
   request.queries = {4, 8, 15};
   std::string frame;
   AppendRequestFrame(request, &frame);
@@ -318,20 +317,53 @@ TEST(WireProtocolTest, V2RequestsDecodeWithDefaultGraphId) {
   // Header prefix: version(2) method(1) flags(1) quality(1) top_k(4)
   // deadline(8) = 17 bytes, then the v3-only graph length.
   payload.erase(17, 2);
-  auto decoded = DecodeRequest(
+  auto v2_request = DecodeRequest(
       reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded->graph_id.empty());
-  EXPECT_EQ(decoded->top_k, 3);
-  EXPECT_EQ(decoded->deadline_micros, 42u);
-  EXPECT_EQ(decoded->queries, request.queries);
+  ASSERT_FALSE(v2_request.ok());
+  EXPECT_TRUE(v2_request.status().IsFailedPrecondition())
+      << v2_request.status().ToString();
 
-  // Versions below the compatibility floor are still typed rejects.
-  payload[0] = 1;
-  auto ancient = DecodeRequest(
-      reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
-  ASSERT_FALSE(ancient.ok());
-  EXPECT_TRUE(ancient.status().IsFailedPrecondition());
+  std::string response_frame;
+  AppendResponseFrame(WireResponse{}, &response_frame);
+  std::string response(response_frame.begin() + kFrameHeaderBytes,
+                       response_frame.end());
+  response[0] = 2;
+  auto v2_response = DecodeResponse(
+      reinterpret_cast<const uint8_t*>(response.data()), response.size());
+  ASSERT_FALSE(v2_response.ok());
+  EXPECT_TRUE(v2_response.status().IsFailedPrecondition())
+      << v2_response.status().ToString();
+}
+
+TEST(WireProtocolTest, OverflowingScoreBlockDimensionsAreRejected) {
+  // A hostile column-body header with no body: n * cols * 8 wraps to 0 in
+  // 64-bit arithmetic, which equals the 0 bytes remaining. The decoder must
+  // reject it instead of allocating an n x cols matrix.
+  const auto header_only = [](int64_t n, uint32_t cols) {
+    std::string frame;
+    AppendResponseFrame(WireResponse{}, &frame);
+    std::string payload(frame.begin() + kFrameHeaderBytes, frame.end());
+    // body_kind sits at offset 37, right after the tier byte (offset 36).
+    payload[37] = static_cast<char>(BodyKind::kColumns);
+    for (int i = 0; i < 8; ++i) {
+      payload.push_back(static_cast<char>(static_cast<uint64_t>(n) >> (8 * i)));
+    }
+    for (int i = 0; i < 4; ++i) {
+      payload.push_back(static_cast<char>(cols >> (8 * i)));
+    }
+    return payload;
+  };
+  for (const auto& [n, cols] :
+       {std::pair<int64_t, uint32_t>{int64_t{1} << 61, 1},
+        std::pair<int64_t, uint32_t>{int64_t{1} << 31, uint32_t{1} << 31}}) {
+    const std::string payload = header_only(n, cols);
+    ASSERT_EQ(payload.size(), 50u);
+    auto decoded = DecodeResponse(
+        reinterpret_cast<const uint8_t*>(payload.data()), payload.size());
+    ASSERT_FALSE(decoded.ok()) << "n=" << n << " cols=" << cols;
+    EXPECT_TRUE(decoded.status().IsInvalidArgument())
+        << decoded.status().ToString();
+  }
 }
 
 TEST(WireProtocolTest, OversizedGraphIdDeclarationIsRejected) {
@@ -357,8 +389,9 @@ TEST(NetServerTest, QualityClassTravelsTheSocketAndTierEchoesBack) {
   auto graph = RandomGraph(100, 700, 11);
   core::CsrPlusOptions exact_options;
   exact_options.rank = 8;
-  auto exact = core::CsrPlusEngine::Precompute(graph, exact_options);
-  ASSERT_TRUE(exact.ok());
+  auto built = core::CsrPlusEngine::Precompute(graph, exact_options);
+  ASSERT_TRUE(built.ok());
+  auto exact = std::make_shared<const core::CsrPlusEngine>(std::move(*built));
   auto transition = graph::ColumnNormalizedTransition(graph);
   baselines::RpCoSimOptions rp_options;
   rp_options.iterations = 3;
@@ -368,7 +401,7 @@ TEST(NetServerTest, QualityClassTravelsTheSocketAndTierEchoesBack) {
 
   service::ServiceOptions service_options;
   service_options.approximate_engine = &approx;
-  service::QueryService service(&*exact, service_options);
+  service::QueryService service(exact, service_options);
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
@@ -404,7 +437,7 @@ TEST(NetServerTest, QualityClassTravelsTheSocketAndTierEchoesBack) {
 
 TEST(NetServerTest, PingAndQueryMatchInProcessServiceBitIdentically) {
   auto engine = MakeEngine();
-  service::QueryService service(&engine);
+  service::QueryService service(engine);
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
 
@@ -419,7 +452,7 @@ TEST(NetServerTest, PingAndQueryMatchInProcessServiceBitIdentically) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->ok()) << response->ToStatus().ToString();
 
-  auto direct = engine.MultiSourceQuery(queries);
+  auto direct = engine->MultiSourceQuery(queries);
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(response->scores == *direct)
       << "socket round trip must be bit-identical to the engine";
@@ -434,7 +467,7 @@ TEST(NetServerTest, PingAndQueryMatchInProcessServiceBitIdentically) {
   ASSERT_TRUE(topk_response->ok());
   ASSERT_EQ(topk_response->topk.size(), 1u);
   const auto expected =
-      core::TopKOfColumn(*engine.MultiSourceQuery({3}), 0, 5, {Index{3}});
+      core::TopKOfColumn(*engine->MultiSourceQuery({3}), 0, 5, {Index{3}});
   ASSERT_EQ(topk_response->topk[0].size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(topk_response->topk[0][i].node, expected[i].node);
@@ -450,8 +483,8 @@ TEST(NetServerTest, IdTranslationHooksMapWireIdsBothWays) {
   // ids were compacted at load time: the wire speaks external ids, the
   // engine internal indexes. Hooks here shift by 1000.
   auto engine = MakeEngine();
-  const int64_t n = engine.NumNodes();
-  service::QueryService service(&engine);
+  const int64_t n = engine->NumNodes();
+  service::QueryService service(engine);
   ServerOptions server_options;
   server_options.to_internal = [n](int64_t external) -> Result<Index> {
     const int64_t internal = external - 1000;
@@ -476,7 +509,7 @@ TEST(NetServerTest, IdTranslationHooksMapWireIdsBothWays) {
   auto response = client->Call(request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ASSERT_TRUE(response->ok()) << response->ToStatus().ToString();
-  auto direct = engine.MultiSourceQuery({Index{7}});
+  auto direct = engine->MultiSourceQuery({Index{7}});
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(response->scores == *direct);
 
@@ -489,7 +522,7 @@ TEST(NetServerTest, IdTranslationHooksMapWireIdsBothWays) {
   ASSERT_TRUE(topk_response->ok());
   ASSERT_EQ(topk_response->topk.size(), 1u);
   const auto expected =
-      core::TopKOfColumn(*engine.MultiSourceQuery({3}), 0, 4, {Index{3}});
+      core::TopKOfColumn(*engine->MultiSourceQuery({3}), 0, 4, {Index{3}});
   ASSERT_EQ(topk_response->topk[0].size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(topk_response->topk[0][i].node, expected[i].node + 1000);
@@ -512,7 +545,7 @@ TEST(NetServerTest, IdTranslationHooksMapWireIdsBothWays) {
 
 TEST(NetServerTest, PipelinedResponsesArriveInRequestOrder) {
   auto engine = MakeEngine();
-  service::QueryService service(&engine);
+  service::QueryService service(engine);
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
@@ -528,7 +561,7 @@ TEST(NetServerTest, PipelinedResponsesArriveInRequestOrder) {
     auto response = client->Receive();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     ASSERT_TRUE(response->ok());
-    auto direct = engine.MultiSourceQuery({static_cast<Index>(i)});
+    auto direct = engine->MultiSourceQuery({static_cast<Index>(i)});
     ASSERT_TRUE(direct.ok());
     EXPECT_TRUE(response->scores == *direct)
         << "response " << i << " is out of order or wrong";
@@ -540,7 +573,7 @@ TEST(NetServerTest, PipelinedResponsesArriveInRequestOrder) {
 
 TEST(NetServerTest, InvalidQueriesComeBackAsStatusFramesOnALiveStream) {
   auto engine = MakeEngine();
-  service::QueryService service(&engine);
+  service::QueryService service(engine);
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
@@ -571,9 +604,9 @@ TEST(NetServerTest, InvalidQueriesComeBackAsStatusFramesOnALiveStream) {
 
 TEST(NetServerTest, PipelineCapRejectsFloodWithResourceExhaustedFrames) {
   auto engine = MakeEngine();
-  GatedEngine gated(&engine);
-  gated.Close();  // hold the dispatcher: nothing completes until Open()
-  service::QueryService service(&gated);
+  auto gated = std::make_shared<GatedEngine>(engine.get());
+  gated->Close();  // hold the dispatcher: nothing completes until Open()
+  service::QueryService service(gated);
   ServerOptions server_options;
   server_options.max_pipeline = 2;
   Server server(&service, server_options);
@@ -591,7 +624,7 @@ TEST(NetServerTest, PipelineCapRejectsFloodWithResourceExhaustedFrames) {
     request.queries = {static_cast<int64_t>(i % 50)};
     ASSERT_TRUE(client->Send(request).ok()) << "request " << i;
   }
-  gated.Open();
+  gated->Open();
 
   int ok = 0, exhausted = 0;
   for (int i = 0; i < kFlood; ++i) {
@@ -614,9 +647,9 @@ TEST(NetServerTest, PipelineCapRejectsFloodWithResourceExhaustedFrames) {
 
 TEST(NetServerTest, ShutdownWithConnectedClientsDrainsInFlightRequests) {
   auto engine = MakeEngine();
-  GatedEngine gated(&engine);
-  gated.Close();
-  service::QueryService service(&gated);
+  auto gated = std::make_shared<GatedEngine>(engine.get());
+  gated->Close();
+  service::QueryService service(gated);
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
 
@@ -632,7 +665,7 @@ TEST(NetServerTest, ShutdownWithConnectedClientsDrainsInFlightRequests) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   std::thread shutter([&] { server.Shutdown(); });
-  gated.Open();  // let the in-flight batch finish so the drain completes
+  gated->Open();  // let the in-flight batch finish so the drain completes
   shutter.join();
 
   // Every submitted request got a terminal frame (completed or cancelled)
@@ -656,7 +689,7 @@ TEST(NetServerTest, MultiConnectionHammerStaysConsistent) {
   cache::ColumnCache cache(cache_options);
   service::ServiceOptions service_options;
   service_options.cache = &cache;
-  service::QueryService service(&engine, service_options);
+  service::QueryService service(engine, service_options);
   ServerOptions server_options;
   server_options.num_workers = 2;
   Server server(&service, server_options);
@@ -681,7 +714,7 @@ TEST(NetServerTest, MultiConnectionHammerStaysConsistent) {
         auto response = client->Call(request);
         ASSERT_TRUE(response.ok()) << response.status().ToString();
         ASSERT_TRUE(response->ok()) << response->ToStatus().ToString();
-        auto direct = engine.MultiSourceQuery({a, b});
+        auto direct = engine->MultiSourceQuery({a, b});
         ASSERT_TRUE(direct.ok());
         if (!(response->scores == *direct)) ++mismatches;
         ++ok_count;
@@ -698,7 +731,7 @@ TEST(NetServerTest, MultiConnectionHammerStaysConsistent) {
 
 TEST(NetServerTest, SingleServiceModeRejectsGraphIds) {
   auto engine = MakeEngine();
-  service::QueryService service(&engine);
+  service::QueryService service(engine);
   Server server(&service, {});
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -409,6 +410,15 @@ TEST(ObsDisabledTest, HooksCompileToNoOpsAndRegistryStaysEmpty) {
     CSRPLUS_TRACE_SPAN(span, "test_disabled");
     CSRPLUS_TRACE_ARG(span, "k", 1);
   }
+  // Registry tenants name their counters at runtime; they must not leak
+  // into the disabled build's registry either.
+  service::EngineRegistry tenants;
+  ASSERT_TRUE(tenants
+                  .AddTenant("doc",
+                             graph::ColumnNormalizedTransition(
+                                 testing::Figure1Graph()),
+                             service::TenantOptions{})
+                  .ok());
   EXPECT_TRUE(obs::StatsRegistry::Global().Names().empty());
 
   // The snapshot is still a valid (empty) document.
@@ -507,8 +517,10 @@ TEST(ObsDocumentationTest, EveryEmittedMetricIsDocumented) {
   // metrics) plus a cancelled-or-expired request so the failure counters
   // register too (which of the two fires depends on dispatcher timing;
   // both are documented).
+  const auto served =
+      std::make_shared<const core::CsrPlusEngine>(std::move(*engine));
   {
-    service::QueryService service(&*engine);
+    service::QueryService service(served);
     service::QueryRequest request;
     request.queries = {0, 1};
     request.top_k = 3;
@@ -538,7 +550,7 @@ TEST(ObsDocumentationTest, EveryEmittedMetricIsDocumented) {
     service::ServiceOptions tier_options;
     tier_options.approximate_engine = &approx;
     tier_options.shed_headroom_micros = uint64_t{1} << 40;
-    service::QueryService tiered(&*engine, tier_options);
+    service::QueryService tiered(served, tier_options);
     service::QueryRequest approx_request;
     approx_request.queries = {0};
     approx_request.quality = service::QualityClass::kApproximate;
@@ -577,7 +589,7 @@ TEST(ObsDocumentationTest, EveryEmittedMetricIsDocumented) {
   // Socket front end: accept, ping, one top-k query and one rejected
   // submission, so the csrplus.net.* metrics and net_* spans register.
   {
-    service::QueryService net_service(&*engine);
+    service::QueryService net_service(served);
     net::ServerOptions server_options;
     server_options.num_workers = 1;
     net::Server server(&net_service, server_options);

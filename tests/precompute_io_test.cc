@@ -328,29 +328,5 @@ TEST_F(PrecomputeIoTest, GoldenArtifactLoadModesAreBitIdentical) {
   EXPECT_EQ(*topk_heap, *topk_mapped);
 }
 
-// The deprecated LoadPrecompute overloads must keep forwarding correctly
-// until they are removed; new code cannot call them (the CI deprecation
-// canary promotes this warning to an error), hence the local suppression.
-TEST_F(PrecomputeIoTest, DeprecatedLoadOverloadsStillForward) {
-  const graph::Graph g = *graph::ErdosRenyi(60, 360, 0xF2);
-  CsrPlusOptions options;
-  options.rank = 4;
-  auto engine = CsrPlusEngine::Precompute(g, options);
-  ASSERT_TRUE(engine.ok());
-  ASSERT_TRUE(engine->SavePrecompute(Path("dep.cspc")).ok());
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto plain = CsrPlusEngine::LoadPrecompute(Path("dep.cspc"));
-  auto pinned =
-      CsrPlusEngine::LoadPrecompute(Path("dep.cspc"), engine->fingerprint());
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-  EXPECT_FALSE(plain->is_mapped());
-  ExpectEnginesBitIdentical(*plain, *engine);
-  ExpectEnginesBitIdentical(*pinned, *engine);
-}
-
 }  // namespace
 }  // namespace csrplus::core

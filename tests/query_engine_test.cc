@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/csrplus_engine.h"
-#include "eval/runner.h"
 #include "graph/normalize.h"
+#include "service/engine_registry.h"
 #include "test_util.h"
 
 namespace csrplus::core {
@@ -25,13 +25,14 @@ using csrplus::testing::RandomGraph;
 using csrplus::testing::ScopedKernelIsa;
 using linalg::CsrMatrix;
 using linalg::DenseMatrix;
+using service::EngineKind;
 
 // Every engine must honour the contract under every kernel ISA this machine
 // can run — the batching and caching layers assume bit-stable answers no
 // matter which dispatch table is live.
 class QueryEngineConformanceTest
     : public ::testing::TestWithParam<
-          std::tuple<eval::Method, linalg::kernels::Isa>> {
+          std::tuple<EngineKind, linalg::kernels::Isa>> {
  protected:
   void SetUp() override {
     const linalg::kernels::Isa isa = std::get<1>(GetParam());
@@ -46,14 +47,14 @@ class QueryEngineConformanceTest
     isa_.emplace(isa);
     graph_ = RandomGraph(60, 360, 7);
     transition_ = graph::ColumnNormalizedTransition(graph_);
-    eval::RunConfig config;
+    service::EngineConfig config;
     config.ni_fidelity = baselines::NiFidelity::kMixedProduct;
-    auto engine = eval::CreateEngine(Method(), transition_, config);
+    auto engine = service::BuildEngine(Kind(), transition_, config);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
     engine_ = std::move(*engine);
   }
 
-  eval::Method Method() const { return std::get<0>(GetParam()); }
+  EngineKind Kind() const { return std::get<0>(GetParam()); }
 
   std::optional<ScopedKernelIsa> isa_;
   graph::Graph graph_;
@@ -62,7 +63,7 @@ class QueryEngineConformanceTest
 };
 
 TEST_P(QueryEngineConformanceTest, ReportsNameAndNodeCount) {
-  EXPECT_EQ(engine_->Name(), eval::MethodName(Method()));
+  EXPECT_EQ(engine_->Name(), service::EngineKindName(Kind()));
   EXPECT_EQ(engine_->NumNodes(), 60);
 }
 
@@ -101,9 +102,9 @@ TEST_P(QueryEngineConformanceTest, StateFingerprintIsStableAndShared) {
   // that do not implement the hook return 0 ("never cache") both times.
   const uint64_t fp = engine_->StateFingerprint();
   EXPECT_EQ(fp, engine_->StateFingerprint());
-  eval::RunConfig config;
+  service::EngineConfig config;
   config.ni_fidelity = baselines::NiFidelity::kMixedProduct;
-  auto twin = eval::CreateEngine(Method(), transition_, config);
+  auto twin = service::BuildEngine(Kind(), transition_, config);
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
   EXPECT_EQ((*twin)->StateFingerprint(), fp);
 }
@@ -119,14 +120,14 @@ TEST_P(QueryEngineConformanceTest, RejectsBadQuerySets) {
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, QueryEngineConformanceTest,
     ::testing::Combine(
-        ::testing::Values(eval::Method::kCsrPlus, eval::Method::kCsrNi,
-                          eval::Method::kCsrIt, eval::Method::kCsrRls,
-                          eval::Method::kCoSimMate, eval::Method::kRpCoSim,
-                          eval::Method::kDynamic),
+        ::testing::Values(EngineKind::kCsrPlus, EngineKind::kCsrNi,
+                          EngineKind::kCsrIt, EngineKind::kCsrRls,
+                          EngineKind::kCoSimMate, EngineKind::kRpCoSim,
+                          EngineKind::kDynamic),
         ::testing::ValuesIn(csrplus::testing::AllKernelIsas())),
     [](const ::testing::TestParamInfo<
-        std::tuple<eval::Method, linalg::kernels::Isa>>& info) {
-      std::string name(eval::MethodName(std::get<0>(info.param)));
+        std::tuple<EngineKind, linalg::kernels::Isa>>& info) {
+      std::string name(service::EngineKindName(std::get<0>(info.param)));
       for (char& c : name) {
         if (c == '+') c = 'p';
         if (c == '-') c = '_';
@@ -180,10 +181,9 @@ TEST(CostModelTest, UnadvertisedDefaultIsAllZero) {
 
 TEST(CostModelTest, DynamicEngineDelegatesToItsInnerEngine) {
   auto graph = RandomGraph(60, 360, 7);
-  eval::RunConfig config;
-  auto dynamic = eval::CreateEngine(eval::Method::kDynamic,
-                                    graph::ColumnNormalizedTransition(graph),
-                                    config);
+  auto dynamic = service::BuildEngine(EngineKind::kDynamic,
+                                     graph::ColumnNormalizedTransition(graph),
+                                     service::EngineConfig{});
   ASSERT_TRUE(dynamic.ok()) << dynamic.status().ToString();
   const CostModel cost = (*dynamic)->EstimateCost(2);
   EXPECT_TRUE(cost.advertised());

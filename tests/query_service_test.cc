@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -33,14 +32,15 @@ namespace {
 using csrplus::testing::RandomGraph;
 using csrplus::testing::ScopedNumThreads;
 
-core::CsrPlusEngine MakeEngine(Index nodes = 100, int64_t edges = 700,
-                               uint64_t seed = 11) {
+std::shared_ptr<const core::CsrPlusEngine> MakeEngine(Index nodes = 100,
+                                                     int64_t edges = 700,
+                                                     uint64_t seed = 11) {
   auto graph = RandomGraph(nodes, edges, seed);
   core::CsrPlusOptions options;
   options.rank = 8;
   auto engine = core::CsrPlusEngine::Precompute(graph, options);
   CSR_CHECK(engine.ok()) << engine.status().ToString();
-  return std::move(*engine);
+  return std::make_shared<const core::CsrPlusEngine>(std::move(*engine));
 }
 
 /// Restores the global memory budget on scope exit.
@@ -90,12 +90,12 @@ class GatedEngine : public core::QueryEngine {
 
 TEST(QueryServiceTest, SingleRequestMatchesDirectEngineCall) {
   auto engine = MakeEngine();
-  QueryService service(&engine);
+  QueryService service(engine);
   QueryRequest request;
   request.queries = {3, 41, 77};
   QueryResponse response = service.Query(std::move(request));
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-  auto direct = engine.MultiSourceQuery({3, 41, 77});
+  auto direct = engine->MultiSourceQuery({3, 41, 77});
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(response.scores == *direct);  // bit-identical
   EXPECT_GE(response.batch_requests, 1);
@@ -112,7 +112,7 @@ TEST(QueryServiceTest, BatchedResultsAreBitIdenticalAcrossThreadCounts) {
   {
     ScopedNumThreads one(1);
     for (const auto& queries : sets) {
-      auto direct = engine.MultiSourceQuery(queries);
+      auto direct = engine->MultiSourceQuery(queries);
       ASSERT_TRUE(direct.ok());
       expected.push_back(std::move(*direct));
     }
@@ -120,9 +120,9 @@ TEST(QueryServiceTest, BatchedResultsAreBitIdenticalAcrossThreadCounts) {
 
   for (int threads : {1, 4}) {
     ScopedNumThreads scoped(threads);
-    GatedEngine gated(&engine);
-    gated.Close();  // hold the dispatcher so all submissions queue up
-    QueryService service(&gated);
+    auto gated = std::make_shared<GatedEngine>(engine.get());
+    gated->Close();  // hold the dispatcher so all submissions queue up
+    QueryService service(gated);
 
     // One warm-up request occupies the dispatcher; the rest pile up and
     // coalesce into micro-batches behind it.
@@ -139,7 +139,7 @@ TEST(QueryServiceTest, BatchedResultsAreBitIdenticalAcrossThreadCounts) {
       ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
       tickets.push_back(std::move(*ticket));
     }
-    gated.Open();
+    gated->Open();
 
     for (std::size_t i = 0; i < tickets.size(); ++i) {
       const QueryResponse& response = tickets[i].Wait();
@@ -154,9 +154,9 @@ TEST(QueryServiceTest, BatchedResultsAreBitIdenticalAcrossThreadCounts) {
 
 TEST(QueryServiceTest, OverlappingRequestsCoalesceIntoOneBatch) {
   auto engine = MakeEngine();
-  GatedEngine gated(&engine);
-  gated.Close();
-  QueryService service(&gated);
+  auto gated = std::make_shared<GatedEngine>(engine.get());
+  gated->Close();
+  QueryService service(gated);
 
   QueryRequest blocker;
   blocker.queries = {0};
@@ -164,7 +164,7 @@ TEST(QueryServiceTest, OverlappingRequestsCoalesceIntoOneBatch) {
   ASSERT_TRUE(blocker_ticket.ok());
   // Wait until the dispatcher is actually inside the blocker's engine call;
   // otherwise the first coalesced request might be claimed alone.
-  while (gated.calls() == 0) std::this_thread::yield();
+  while (gated->calls() == 0) std::this_thread::yield();
 
   std::vector<QueryService::Ticket> tickets;
   for (const auto& queries :
@@ -175,7 +175,7 @@ TEST(QueryServiceTest, OverlappingRequestsCoalesceIntoOneBatch) {
     ASSERT_TRUE(ticket.ok());
     tickets.push_back(std::move(*ticket));
   }
-  gated.Open();
+  gated->Open();
 
   for (auto& ticket : tickets) {
     const QueryResponse& response = ticket.Wait();
@@ -185,12 +185,12 @@ TEST(QueryServiceTest, OverlappingRequestsCoalesceIntoOneBatch) {
   }
   // Blocker ran alone, then one coalesced batch: two engine calls total.
   blocker_ticket->Wait();
-  EXPECT_EQ(gated.calls(), 2);
+  EXPECT_EQ(gated->calls(), 2);
 }
 
 TEST(QueryServiceTest, TopKPerRequestRidesTheSharedBatch) {
   auto engine = MakeEngine();
-  QueryService service(&engine);
+  QueryService service(engine);
   QueryRequest request;
   request.queries = {3, 41};
   request.top_k = 5;
@@ -207,15 +207,15 @@ TEST(QueryServiceTest, TopKPerRequestRidesTheSharedBatch) {
 
 TEST(QueryServiceTest, DeadlineExpiredInQueueReturnsTypedError) {
   auto engine = MakeEngine();
-  GatedEngine gated(&engine);
-  gated.Close();
-  QueryService service(&gated);
+  auto gated = std::make_shared<GatedEngine>(engine.get());
+  gated->Close();
+  QueryService service(gated);
 
   QueryRequest blocker;
   blocker.queries = {0};
   auto blocker_ticket = service.Submit(std::move(blocker));
   ASSERT_TRUE(blocker_ticket.ok());
-  while (gated.calls() == 0) std::this_thread::yield();
+  while (gated->calls() == 0) std::this_thread::yield();
 
   QueryRequest doomed;
   doomed.queries = {5};
@@ -224,7 +224,7 @@ TEST(QueryServiceTest, DeadlineExpiredInQueueReturnsTypedError) {
   ASSERT_TRUE(ticket.ok());
 
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  gated.Open();
+  gated->Open();
   const QueryResponse& response = ticket->Wait();
   EXPECT_TRUE(response.status.IsDeadlineExceeded())
       << response.status.ToString();
@@ -234,15 +234,15 @@ TEST(QueryServiceTest, DeadlineExpiredInQueueReturnsTypedError) {
 
 TEST(QueryServiceTest, CancelWhileQueuedCompletesImmediately) {
   auto engine = MakeEngine();
-  GatedEngine gated(&engine);
-  gated.Close();
-  QueryService service(&gated);
+  auto gated = std::make_shared<GatedEngine>(engine.get());
+  gated->Close();
+  QueryService service(gated);
 
   QueryRequest blocker;
   blocker.queries = {0};
   auto blocker_ticket = service.Submit(std::move(blocker));
   ASSERT_TRUE(blocker_ticket.ok());
-  while (gated.calls() == 0) std::this_thread::yield();
+  while (gated->calls() == 0) std::this_thread::yield();
 
   QueryRequest request;
   request.queries = {5, 6};
@@ -254,24 +254,24 @@ TEST(QueryServiceTest, CancelWhileQueuedCompletesImmediately) {
   // gated shut).
   const QueryResponse& response = ticket->Wait();
   EXPECT_TRUE(response.status.IsCancelled()) << response.status.ToString();
-  gated.Open();
+  gated->Open();
   blocker_ticket->Wait();
-  EXPECT_EQ(gated.calls(), 1);  // only the blocker ever executed
+  EXPECT_EQ(gated->calls(), 1);  // only the blocker ever executed
 }
 
 TEST(QueryServiceTest, AdmissionRejectsWhenQueueIsFull) {
   auto engine = MakeEngine();
-  GatedEngine gated(&engine);
-  gated.Close();
+  auto gated = std::make_shared<GatedEngine>(engine.get());
+  gated->Close();
   ServiceOptions options;
   options.max_queue_requests = 2;
-  QueryService service(&gated, options);
+  QueryService service(gated, options);
 
   QueryRequest blocker;
   blocker.queries = {0};
   auto blocker_ticket = service.Submit(std::move(blocker));
   ASSERT_TRUE(blocker_ticket.ok());
-  while (gated.calls() == 0) std::this_thread::yield();
+  while (gated->calls() == 0) std::this_thread::yield();
 
   std::vector<QueryService::Ticket> tickets;
   for (int i = 0; i < 2; ++i) {
@@ -286,14 +286,14 @@ TEST(QueryServiceTest, AdmissionRejectsWhenQueueIsFull) {
   auto rejected = service.Submit(std::move(overflow));
   EXPECT_TRUE(rejected.status().IsResourceExhausted())
       << rejected.status().ToString();
-  gated.Open();
+  gated->Open();
   for (auto& t : tickets) EXPECT_TRUE(t.Wait().status.ok());
   blocker_ticket->Wait();
 }
 
 TEST(QueryServiceTest, AdmissionRejectsUnderTinyMemoryBudget) {
   auto engine = MakeEngine();
-  QueryService service(&engine);
+  QueryService service(engine);
   // Smaller than one response block (100 nodes x 1 query x 8 bytes).
   ScopedMemoryBudget tiny(100);
   QueryRequest request;
@@ -305,7 +305,7 @@ TEST(QueryServiceTest, AdmissionRejectsUnderTinyMemoryBudget) {
 
 TEST(QueryServiceTest, InvalidRequestsAreRejectedAtSubmit) {
   auto engine = MakeEngine();
-  QueryService service(&engine);
+  QueryService service(engine);
   QueryRequest empty;
   EXPECT_TRUE(service.Submit(std::move(empty)).status().IsInvalidArgument());
   QueryRequest out_of_range;
@@ -325,7 +325,7 @@ TEST(QueryServiceTest, OversizedRequestIsRejectedAtSubmit) {
   auto engine = MakeEngine();
   ServiceOptions options;
   options.max_batch_queries = 4;
-  QueryService service(&engine, options);
+  QueryService service(engine, options);
   QueryRequest oversized;
   oversized.queries = {0, 1, 2, 3, 4};
   EXPECT_TRUE(
@@ -341,15 +341,15 @@ TEST(QueryServiceTest, OversizedRequestIsRejectedAtSubmit) {
 
 TEST(QueryServiceTest, ShutdownCancelsQueuedAndRejectsNewSubmissions) {
   auto engine = MakeEngine();
-  GatedEngine gated(&engine);
-  gated.Close();
-  auto service = std::make_unique<QueryService>(&gated);
+  auto gated = std::make_shared<GatedEngine>(engine.get());
+  gated->Close();
+  auto service = std::make_unique<QueryService>(gated);
 
   QueryRequest blocker;
   blocker.queries = {0};
   auto blocker_ticket = service->Submit(std::move(blocker));
   ASSERT_TRUE(blocker_ticket.ok());
-  while (gated.calls() == 0) std::this_thread::yield();
+  while (gated->calls() == 0) std::this_thread::yield();
 
   QueryRequest queued;
   queued.queries = {5};
@@ -360,7 +360,7 @@ TEST(QueryServiceTest, ShutdownCancelsQueuedAndRejectsNewSubmissions) {
   // from a helper thread.
   std::thread opener([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    gated.Open();
+    gated->Open();
   });
   service->Shutdown();
   opener.join();
@@ -379,15 +379,14 @@ TEST(QueryServiceTest, ShutdownCancelsQueuedAndRejectsNewSubmissions) {
 // direct (uncached) engine call after the join. A caller-supplied engine
 // (e.g. one serving a mapped artifact) is hammered in place of the default
 // heap-backed one.
-void RunMultiClientHammer(cache::ColumnCache* cache,
-                          core::CsrPlusEngine* engine_override = nullptr) {
-  std::optional<core::CsrPlusEngine> owned;
-  if (engine_override == nullptr) owned.emplace(MakeEngine(120, 900, 5));
-  core::CsrPlusEngine& engine = engine_override ? *engine_override : *owned;
+void RunMultiClientHammer(
+    cache::ColumnCache* cache,
+    std::shared_ptr<const core::CsrPlusEngine> engine = nullptr) {
+  if (engine == nullptr) engine = MakeEngine(120, 900, 5);
   ServiceOptions options;
   options.max_batch_queries = 16;
   options.cache = cache;
-  QueryService service(&engine, options);
+  QueryService service(engine, options);
 
   constexpr int kClients = 8;
   constexpr int kRequestsPerClient = 25;
@@ -433,7 +432,7 @@ void RunMultiClientHammer(cache::ColumnCache* cache,
   EXPECT_EQ(failed.load(), 0);
   for (const auto& per_client : collected) {
     for (const auto& [queries, scores] : per_client) {
-      auto direct = engine.MultiSourceQuery(queries);
+      auto direct = engine->MultiSourceQuery(queries);
       ASSERT_TRUE(direct.ok());
       EXPECT_TRUE(scores == *direct) << "batched result differs";
     }
@@ -473,7 +472,7 @@ struct TieredSetup {
   // Heap storage keeps the addresses the engines point at stable no matter
   // how the setup struct itself moves.
   std::unique_ptr<linalg::CsrMatrix> transition;
-  core::CsrPlusEngine exact;
+  std::shared_ptr<const core::CsrPlusEngine> exact;
   std::unique_ptr<baselines::RpCosimEngine> approx;
 
   static TieredSetup Make() {
@@ -490,8 +489,10 @@ struct TieredSetup {
     auto approx = std::make_unique<baselines::RpCosimEngine>(transition.get(),
                                                              rp_options);
     CSR_CHECK(approx->PrecomputeSketch().ok());
-    return TieredSetup{std::move(transition), std::move(*exact),
-                       std::move(approx)};
+    return TieredSetup{
+        std::move(transition),
+        std::make_shared<const core::CsrPlusEngine>(std::move(*exact)),
+        std::move(approx)};
   }
 };
 
@@ -499,14 +500,14 @@ TEST(QueryServiceTierTest, QualityClassRoutesToConfiguredTier) {
   auto setup = TieredSetup::Make();
   ServiceOptions options;
   options.approximate_engine = setup.approx.get();
-  QueryService service(&setup.exact, options);
+  QueryService service(setup.exact, options);
 
   QueryRequest exact_request;
   exact_request.queries = {3, 41};
   QueryResponse exact_response = service.Query(std::move(exact_request));
   ASSERT_TRUE(exact_response.status.ok());
   EXPECT_EQ(exact_response.served_tier, ServedTier::kExact);
-  auto exact_direct = setup.exact.MultiSourceQuery({3, 41});
+  auto exact_direct = setup.exact->MultiSourceQuery({3, 41});
   ASSERT_TRUE(exact_direct.ok());
   EXPECT_TRUE(exact_response.scores == *exact_direct);
 
@@ -531,7 +532,7 @@ TEST(QueryServiceTierTest, QualityClassRoutesToConfiguredTier) {
 
 TEST(QueryServiceTierTest, QualityClassesIgnoredWithoutApproximateTier) {
   auto engine = MakeEngine();
-  QueryService service(&engine);
+  QueryService service(engine);
   for (QualityClass quality :
        {QualityClass::kExact, QualityClass::kApproximate,
         QualityClass::kBestEffort}) {
@@ -551,7 +552,7 @@ TEST(QueryServiceTierTest, DeadlineHeadroomShedsBestEffort) {
   options.approximate_engine = setup.approx.get();
   options.shed_trigger_depth = 0;  // depth shedding off: isolate headroom
   options.shed_headroom_micros = uint64_t{1} << 40;
-  QueryService service(&setup.exact, options);
+  QueryService service(setup.exact, options);
 
   QueryRequest best_effort;
   best_effort.queries = {5};
@@ -583,19 +584,19 @@ TEST(QueryServiceTierTest, DeadlineHeadroomShedsBestEffort) {
 // lone best-effort request on the drained queue (depth <= resume => back
 // to exact). Returns the served tiers in submission order.
 std::vector<ServedTier> RunSheddingTrace(const TieredSetup& setup) {
-  GatedEngine gated(&setup.exact);
-  gated.Close();
+  auto gated = std::make_shared<GatedEngine>(setup.exact.get());
+  gated->Close();
   ServiceOptions options;
   options.approximate_engine = setup.approx.get();
   options.shed_trigger_depth = 4;
   options.shed_resume_depth = 1;
-  QueryService service(&gated, options);
+  QueryService service(gated, options);
 
   QueryRequest blocker;
   blocker.queries = {0};
   auto blocker_ticket = service.Submit(std::move(blocker));
   CSR_CHECK(blocker_ticket.ok());
-  while (gated.calls() == 0) std::this_thread::yield();
+  while (gated->calls() == 0) std::this_thread::yield();
 
   std::vector<QueryService::Ticket> tickets;
   for (int i = 0; i < 6; ++i) {
@@ -606,7 +607,7 @@ std::vector<ServedTier> RunSheddingTrace(const TieredSetup& setup) {
     CSR_CHECK(ticket.ok());
     tickets.push_back(std::move(*ticket));
   }
-  gated.Open();
+  gated->Open();
 
   std::vector<ServedTier> served;
   served.push_back(blocker_ticket->Wait().served_tier);
@@ -639,18 +640,18 @@ TEST(QueryServiceTierTest, DepthSheddingIsDeterministicAcrossReplays) {
 
 TEST(QueryServiceTierTest, TieredBatchesStayHomogeneous) {
   auto setup = TieredSetup::Make();
-  GatedEngine gated(&setup.exact);
-  gated.Close();
+  auto gated = std::make_shared<GatedEngine>(setup.exact.get());
+  gated->Close();
   ServiceOptions options;
   options.approximate_engine = setup.approx.get();
   options.shed_trigger_depth = 0;  // routing by quality class only
-  QueryService service(&gated, options);
+  QueryService service(gated, options);
 
   QueryRequest blocker;
   blocker.queries = {0};
   auto blocker_ticket = service.Submit(std::move(blocker));
   ASSERT_TRUE(blocker_ticket.ok());
-  while (gated.calls() == 0) std::this_thread::yield();
+  while (gated->calls() == 0) std::this_thread::yield();
 
   // Alternating tiers queued back to back: coalescing must break at every
   // tier boundary instead of mixing engines in one evaluation.
@@ -664,7 +665,7 @@ TEST(QueryServiceTierTest, TieredBatchesStayHomogeneous) {
     ASSERT_TRUE(ticket.ok());
     tickets.push_back(std::move(*ticket));
   }
-  gated.Open();
+  gated->Open();
   blocker_ticket->Wait();
   for (int i = 0; i < 4; ++i) {
     const QueryResponse& response = tickets[static_cast<std::size_t>(i)].Wait();
@@ -681,8 +682,8 @@ TEST(QueryServiceTierTest, MismatchedNodeCountsDieAtConstruction) {
   auto exact = MakeEngine(100, 700, 11);
   auto smaller = MakeEngine(50, 300, 7);
   ServiceOptions options;
-  options.approximate_engine = &smaller;
-  EXPECT_DEATH(QueryService(&exact, options), "same node set");
+  options.approximate_engine = smaller.get();
+  EXPECT_DEATH(QueryService(exact, options), "same node set");
 }
 
 TEST(QueryServiceTest, MultiClientHammerWithMappedEngine) {
@@ -696,13 +697,14 @@ TEST(QueryServiceTest, MultiClientHammerWithMappedEngine) {
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "hammer.cspc").string();
   auto writer = MakeEngine(120, 900, 5);
-  ASSERT_TRUE(writer.SavePrecompute(path).ok());
+  ASSERT_TRUE(writer->SavePrecompute(path).ok());
 
   core::LoadOptions load_options;
   load_options.mode = core::LoadMode::kMapped;  // background verify on
-  auto mapped = core::CsrPlusEngine::LoadPrecompute(path, load_options);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ForEachAvailableIsa([&] { RunMultiClientHammer(nullptr, &*mapped); });
+  auto loaded = core::CsrPlusEngine::LoadPrecompute(path, load_options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto mapped = std::make_shared<const core::CsrPlusEngine>(std::move(*loaded));
+  ForEachAvailableIsa([&] { RunMultiClientHammer(nullptr, mapped); });
   EXPECT_TRUE(mapped->VerifyMappedSections().ok());
   std::filesystem::remove_all(dir);
 }

@@ -11,6 +11,7 @@ namespace csrplus::eval {
 namespace {
 
 using csrplus::testing::RandomGraph;
+using service::EngineKindName;
 
 class RunnerTest : public ::testing::Test {
  protected:
@@ -25,40 +26,42 @@ class RunnerTest : public ::testing::Test {
 };
 
 TEST_F(RunnerTest, MethodNamesAreStable) {
-  EXPECT_EQ(MethodName(Method::kCsrPlus), "CSR+");
-  EXPECT_EQ(MethodName(Method::kCsrNi), "CSR-NI");
-  EXPECT_EQ(MethodName(Method::kCsrIt), "CSR-IT");
-  EXPECT_EQ(MethodName(Method::kCsrRls), "CSR-RLS");
-  EXPECT_EQ(MethodName(Method::kCoSimMate), "CoSimMate");
-  EXPECT_EQ(MethodName(Method::kRpCoSim), "RP-CoSim");
-  EXPECT_EQ(MethodName(Method::kDynamic), "CSR+dyn");
+  EXPECT_EQ(EngineKindName(EngineKind::kCsrPlus), "CSR+");
+  EXPECT_EQ(EngineKindName(EngineKind::kCsrNi), "CSR-NI");
+  EXPECT_EQ(EngineKindName(EngineKind::kCsrIt), "CSR-IT");
+  EXPECT_EQ(EngineKindName(EngineKind::kCsrRls), "CSR-RLS");
+  EXPECT_EQ(EngineKindName(EngineKind::kCoSimMate), "CoSimMate");
+  EXPECT_EQ(EngineKindName(EngineKind::kRpCoSim), "RP-CoSim");
+  EXPECT_EQ(EngineKindName(EngineKind::kDynamic), "CSR+dyn");
 }
 
 TEST_F(RunnerTest, PaperMethodsListsTheFourRivals) {
   const auto& methods = PaperMethods();
   ASSERT_EQ(methods.size(), 4u);
-  EXPECT_EQ(methods[0], Method::kCsrPlus);
+  EXPECT_EQ(methods[0], EngineKind::kCsrPlus);
 }
 
 TEST_F(RunnerTest, EveryMethodProducesScores) {
   RunConfig config;
   config.ni_fidelity = baselines::NiFidelity::kMixedProduct;
-  for (Method method :
-       {Method::kCsrPlus, Method::kCsrNi, Method::kCsrIt, Method::kCsrRls,
-        Method::kCoSimMate, Method::kRpCoSim, Method::kDynamic}) {
+  for (EngineKind method :
+       {EngineKind::kCsrPlus, EngineKind::kCsrNi, EngineKind::kCsrIt,
+        EngineKind::kCsrRls, EngineKind::kCoSimMate, EngineKind::kRpCoSim,
+        EngineKind::kDynamic}) {
     RunOutcome outcome = RunMethod(method, transition_, queries_, config);
     ASSERT_TRUE(outcome.status.ok())
-        << MethodName(method) << ": " << outcome.status.ToString();
-    EXPECT_EQ(outcome.scores.rows(), 80) << MethodName(method);
-    EXPECT_EQ(outcome.scores.cols(), 4) << MethodName(method);
+        << EngineKindName(method) << ": " << outcome.status.ToString();
+    EXPECT_EQ(outcome.scores.rows(), 80) << EngineKindName(method);
+    EXPECT_EQ(outcome.scores.cols(), 4) << EngineKindName(method);
     EXPECT_GE(outcome.total_seconds(), 0.0);
   }
 }
 
 TEST_F(RunnerTest, ExactMethodsProduceIdenticalScores) {
   RunConfig config;
-  RunOutcome it = RunMethod(Method::kCsrIt, transition_, queries_, config);
-  RunOutcome rls = RunMethod(Method::kCsrRls, transition_, queries_, config);
+  RunOutcome it = RunMethod(EngineKind::kCsrIt, transition_, queries_, config);
+  RunOutcome rls = RunMethod(EngineKind::kCsrRls, transition_,
+                             queries_, config);
   ASSERT_TRUE(it.status.ok() && rls.status.ok());
   EXPECT_LT(MaxDiff(it.scores, rls.scores), 1e-10);
 }
@@ -66,8 +69,9 @@ TEST_F(RunnerTest, ExactMethodsProduceIdenticalScores) {
 TEST_F(RunnerTest, CsrPlusTracksExactWithinRankError) {
   RunConfig config;
   config.rank = 80;  // full rank: only the series truncation remains
-  RunOutcome plus = RunMethod(Method::kCsrPlus, transition_, queries_, config);
-  RunOutcome it = RunMethod(Method::kCsrIt, transition_, queries_, config);
+  RunOutcome plus = RunMethod(EngineKind::kCsrPlus, transition_,
+                              queries_, config);
+  RunOutcome it = RunMethod(EngineKind::kCsrIt, transition_, queries_, config);
   ASSERT_TRUE(plus.status.ok() && it.status.ok());
   EXPECT_LT(AvgDiff(plus.scores, it.scores), 1e-3);
 }
@@ -77,7 +81,8 @@ TEST_F(RunnerTest, MemoryFailureSurfacesAsResourceExhausted) {
   const int64_t old_limit = budget.limit_bytes();
   budget.SetLimit(1 << 10);
   RunConfig config;
-  RunOutcome outcome = RunMethod(Method::kCsrIt, transition_, queries_, config);
+  RunOutcome outcome = RunMethod(EngineKind::kCsrIt, transition_,
+                                 queries_, config);
   budget.SetLimit(old_limit);
   ASSERT_FALSE(outcome.status.ok());
   EXPECT_TRUE(outcome.status.IsResourceExhausted());
@@ -86,21 +91,24 @@ TEST_F(RunnerTest, MemoryFailureSurfacesAsResourceExhausted) {
 
 TEST_F(RunnerTest, OutcomeLabelForSuccess) {
   RunConfig config;
-  RunOutcome outcome = RunMethod(Method::kCsrPlus, transition_, queries_, config);
+  RunOutcome outcome = RunMethod(EngineKind::kCsrPlus, transition_,
+                                 queries_, config);
   EXPECT_EQ(OutcomeLabel(outcome), "OK");
 }
 
 TEST_F(RunnerTest, KeepScoresFalseDropsBlock) {
   RunConfig config;
   config.keep_scores = false;
-  RunOutcome outcome = RunMethod(Method::kCsrPlus, transition_, queries_, config);
+  RunOutcome outcome = RunMethod(EngineKind::kCsrPlus, transition_,
+                                 queries_, config);
   ASSERT_TRUE(outcome.status.ok());
   EXPECT_TRUE(outcome.scores.empty());
 }
 
 TEST_F(RunnerTest, CsrRlsHasNoPrecomputePhase) {
   RunConfig config;
-  RunOutcome outcome = RunMethod(Method::kCsrRls, transition_, queries_, config);
+  RunOutcome outcome = RunMethod(EngineKind::kCsrRls, transition_,
+                                 queries_, config);
   ASSERT_TRUE(outcome.status.ok());
   // The RLS engine keeps no precomputed state: building it is just wrapping
   // a pointer, so the precompute phase is negligible (microseconds) and all

@@ -19,28 +19,28 @@
 //       query (after a one-off precomputation; --method= picks the engine).
 //
 //   csrplus serve <graph>
-//       Concurrent serving stress demo: spin up a QueryService over the
-//       engine and hammer it from --clients threads, each issuing
-//       --requests random multi-source requests of --qsize queries. Prints
-//       throughput, latency percentiles and admission/deadline outcomes.
+//   csrplus serve --graphs=NAME=PATH[,NAME=PATH...]
+//       Serve one graph (the tenant "default") or several named graphs from
+//       one service::EngineRegistry: each tenant gets its own engine, column-
+//       cache slice, admission budget and, with --shed-depth, approximate
+//       tier. Without --listen, a concurrent stress demo hammers the default
+//       (first) tenant from --clients threads, each issuing --requests random
+//       multi-source requests of --qsize queries, and prints throughput,
+//       latency percentiles and admission/deadline outcomes.
 //
-//   csrplus serve <graph> --listen=HOST:PORT
-//       Real socket server: expose the QueryService over TCP using the
-//       length-prefixed binary protocol (docs/wire-protocol.md). Runs until
-//       SIGINT/SIGTERM, then drains connections and shuts down cleanly.
-//
-//   csrplus serve --graphs=NAME=PATH[,NAME=PATH...] --listen=HOST:PORT
-//       Multi-graph socket server: one service::EngineRegistry tenant per
-//       named graph, each with its own engine, column-cache slice and
-//       admission budget. Clients pick a tenant with --graph=NAME (wire v3
-//       graph_id); requests without a graph go to the first-listed tenant.
+//   csrplus serve ... --listen=HOST:PORT
+//       Real socket server: expose every tenant over TCP using the
+//       length-prefixed binary protocol (docs/wire-protocol.md). Clients pick
+//       a tenant with --graph=NAME (wire graph_id); requests without a graph
+//       go to the default tenant. Runs until SIGINT/SIGTERM, then drains
+//       connections and shuts down cleanly.
 //
 //   csrplus client --server=HOST:PORT [--graph=NAME] [<node> ...]
 //       Talk to a running socket server. With query nodes, print the top-k
 //       most similar nodes per query in exactly the `csrplus query` output
 //       format (responses are bit-identical to an in-process query by the
 //       column-independence contract). With no nodes, ping the server and
-//       print "pong". --graph targets one tenant of a --graphs server.
+//       print "pong". --graph targets one tenant.
 //
 //   csrplus pair <graph> <a> <b>
 //       Single-pair CoSimRank score.
@@ -66,8 +66,9 @@
 //                   exact doubles) or f32 (factors quantised to float, SIMD
 //                   f32 kernels; bounded accuracy loss — see docs)
 //   --symmetrize    add the reverse of every edge when loading text input
-//   --artifact=P    (query/serve, csr+ only) warm-start from a precompute
-//                   artifact; its graph fingerprint must match the graph
+//   --artifact=P    (query/serve/pair, csr+ only) warm-start from a
+//                   precompute artifact; its graph fingerprint must match
+//                   every graph it serves
 //   --clients=N     (serve) concurrent client threads (default 8)
 //   --requests=R    (serve) requests per client (default 32)
 //   --qsize=Q       (serve) query nodes per request (default 8)
@@ -90,14 +91,14 @@
 //   --listen=H:P    (serve) run a real socket server on H:P instead of the
 //                   in-process stress demo (port 0 = ephemeral)
 //   --net-workers=N (serve --listen) epoll worker threads (default 2)
-//   --graphs=SPEC   (serve --listen) multi-graph tenancy: NAME=PATH pairs,
-//                   comma separated; --cache-mb is split evenly across
-//                   tenants and --tenant-budget-mb applies to each
+//   --graphs=SPEC   (serve) multi-graph tenancy: NAME=PATH pairs, comma
+//                   separated; --cache-mb is split evenly across tenants,
+//                   --tenant-budget-mb and --shed-depth apply to each
 //   --tenant-budget-mb=M  (serve) per-tenant admission byte budget for
 //                   in-flight requests; 0 = unlimited (default 0)
 //   --server=H:P    (client) server address to connect to
-//   --graph=NAME    (client) target tenant on a --graphs server; empty =
-//                   the server's default tenant
+//   --graph=NAME    (client) target tenant; empty = the server's default
+//                   tenant
 //   --stats-out=P   after the command finishes, write the stats registry
 //                   snapshot (counters/gauges/histograms) to P as JSON
 //   --trace-out=P   enable span tracing for the whole run and write a Chrome
@@ -133,9 +134,9 @@ struct CliOptions {
   Index topk = 10;
   int threads = 0;  // kernel thread count; 0 = ambient default
   bool symmetrize = false;
-  eval::Method method = eval::Method::kCsrPlus;
+  service::EngineKind method = service::EngineKind::kCsrPlus;
   core::Precision precision = core::Precision::kF64;  // csr+ serving tier
-  std::string artifact;   // warm-start path for `query` / `serve`
+  std::string artifact;   // warm-start path for every csr+ engine built
   // How --artifact is brought into memory: checksummed heap load (verify)
   // or zero-copy mmap with lazy section verification (mmap).
   core::LoadMode artifact_mode = core::LoadMode::kHeapVerified;
@@ -156,7 +157,7 @@ struct CliOptions {
   bool no_cache = false;     // serve: disable the column cache
   std::string listen;        // serve: socket mode listen address
   int net_workers = 2;       // serve --listen: epoll worker threads
-  std::string graphs;        // serve: multi-graph NAME=PATH,... spec
+  std::string graphs;        // serve: NAME=PATH,... tenant spec
   int tenant_budget_mb = 0;  // serve: per-tenant admission budget (MiB)
   std::string server;        // client: server address
   std::string graph;         // client: target tenant name (wire graph_id)
@@ -180,8 +181,9 @@ void PrintUsage() {
                "  pair <graph> <a> <b>           single-pair score\n"
                "  precompute <graph> <out.cspc>  persist CSR+ factors\n"
                "  artifact-info <file.cspc>      inspect/verify an artifact\n"
-               "  serve <graph>                  concurrent serving stress "
-               "demo\n"
+               "  serve <graph> | --graphs=N=P[,N=P..]\n"
+               "                                 serve one graph or one "
+               "tenant per name\n"
                "                                 [--clients=N] [--requests=R] "
                "[--qsize=Q]\n"
                "                                 [--deadline-ms=D] "
@@ -195,29 +197,26 @@ void PrintUsage() {
                "                                 [--listen=H:P] "
                "[--net-workers=N]\n"
                "                                 [--tenant-budget-mb=M]\n"
-               "  serve --graphs=N=P[,N=P..] --listen=H:P\n"
-               "                                 multi-graph socket server "
-               "(one tenant per name)\n"
                "  client --server=H:P [<node>..]  query (or ping) a socket "
                "server [--quality=Q]\n"
                "                                 [--graph=NAME]\n");
 }
 
-bool ParseMethod(const std::string& name, eval::Method* method) {
+bool ParseMethod(const std::string& name, service::EngineKind* method) {
   if (name == "csr+" || name == "csrplus") {
-    *method = eval::Method::kCsrPlus;
+    *method = service::EngineKind::kCsrPlus;
   } else if (name == "csr-ni") {
-    *method = eval::Method::kCsrNi;
+    *method = service::EngineKind::kCsrNi;
   } else if (name == "csr-it") {
-    *method = eval::Method::kCsrIt;
+    *method = service::EngineKind::kCsrIt;
   } else if (name == "csr-rls") {
-    *method = eval::Method::kCsrRls;
+    *method = service::EngineKind::kCsrRls;
   } else if (name == "cosimmate") {
-    *method = eval::Method::kCoSimMate;
+    *method = service::EngineKind::kCoSimMate;
   } else if (name == "rp-cosim") {
-    *method = eval::Method::kRpCoSim;
+    *method = service::EngineKind::kRpCoSim;
   } else if (name == "dynamic" || name == "csr+dyn") {
-    *method = eval::Method::kDynamic;
+    *method = service::EngineKind::kDynamic;
   } else {
     return false;
   }
@@ -426,107 +425,87 @@ int RunConvert(const CliOptions& options) {
   return 0;
 }
 
-Result<core::CsrPlusEngine> BuildEngine(const graph::Graph& g,
-                                        const CliOptions& options) {
-  core::CsrPlusOptions engine_options;
-  engine_options.rank = std::min<Index>(options.rank, g.num_nodes());
-  engine_options.damping = options.damping;
-  engine_options.precision = options.precision;
-  WallTimer timer;
-  auto engine = core::CsrPlusEngine::Precompute(g, engine_options);
-  if (engine.ok()) {
-    std::fprintf(stderr, "precomputed rank-%ld CSR+ state (%s tier) in %s\n",
-                 static_cast<long>(engine->rank()),
-                 core::PrecisionName(engine->serving_precision()),
-                 FormatSeconds(timer.ElapsedSeconds()).c_str());
-  }
-  return engine;
-}
+/// Name of the tenant a positional <graph> becomes (and of the engine the
+/// one-shot commands build).
+constexpr char kDefaultGraph[] = "default";
 
-/// Warm start: restore the engine from a precompute artifact, verifying its
-/// embedded fingerprint against the graph we are about to serve.
-Result<core::CsrPlusEngine> LoadEngineFromArtifact(const graph::Graph& g,
-                                                   const CliOptions& options) {
-  core::LoadOptions load_options;
-  load_options.expected_fingerprint =
-      core::FingerprintTransition(graph::ColumnNormalizedTransition(g));
-  load_options.mode = options.artifact_mode;
+/// The CLI's one engine-construction path. Builds `g`'s engine and
+/// registers it as tenant `name`: cold through EngineRegistry::AddTenant
+/// (service::BuildEngine), or warm from --artifact through LoadPrecompute +
+/// AddTenantWithEngine — the artifact's embedded fingerprint must match `g`.
+/// `tenant_options` carries the serve-only knobs (service options, cache
+/// slice); the engine kind and config come from the command line.
+Status AddGraphTenant(const std::string& name, const graph::Graph& g,
+                      const CliOptions& options,
+                      service::TenantOptions tenant_options,
+                      service::EngineRegistry* registry) {
+  if (options.method != service::EngineKind::kCsrPlus) {
+    if (!options.artifact.empty()) {
+      return Status::InvalidArgument(
+          "--artifact is only supported with --method=csr+");
+    }
+    if (options.precision != core::Precision::kF64) {
+      return Status::InvalidArgument(
+          "--precision=f32 is only supported with --method=csr+");
+    }
+  }
+  tenant_options.kind = options.method;
+  tenant_options.config.rank = std::min<Index>(options.rank, g.num_nodes());
+  tenant_options.config.damping = options.damping;
+  tenant_options.config.precision = options.precision;
   WallTimer timer;
-  auto engine =
-      core::CsrPlusEngine::LoadPrecompute(options.artifact, load_options);
-  if (engine.ok()) {
+  linalg::CsrMatrix transition = graph::ColumnNormalizedTransition(g);
+  if (options.artifact.empty()) {
+    CSR_RETURN_IF_ERROR(
+        registry->AddTenant(name, std::move(transition), tenant_options));
+  } else {
+    core::LoadOptions load_options;
+    load_options.expected_fingerprint = core::FingerprintTransition(transition);
+    load_options.mode = options.artifact_mode;
+    CSR_ASSIGN_OR_RETURN(
+        core::CsrPlusEngine engine,
+        core::CsrPlusEngine::LoadPrecompute(options.artifact, load_options));
     // Artifacts always store double factors; the serving tier is applied
     // here, quantising U/Z once at load time.
-    CSR_RETURN_IF_ERROR(engine->SetServingPrecision(options.precision));
-    std::fprintf(stderr,
-                 "warm-started rank-%ld CSR+ state (%s tier, %s load) "
-                 "from %s in %s\n",
-                 static_cast<long>(engine->rank()),
-                 core::PrecisionName(engine->serving_precision()),
-                 core::LoadModeName(load_options.mode),
-                 options.artifact.c_str(),
-                 FormatSeconds(timer.ElapsedSeconds()).c_str());
+    CSR_RETURN_IF_ERROR(engine.SetServingPrecision(options.precision));
+    CSR_RETURN_IF_ERROR(registry->AddTenantWithEngine(
+        name, std::make_shared<const core::CsrPlusEngine>(std::move(engine)),
+        tenant_options));
   }
-  return engine;
+  std::fprintf(stderr, "%s: %s %s engine (n=%ld m=%ld) in %s\n", name.c_str(),
+               options.artifact.empty() ? "built" : "loaded",
+               std::string(registry->TenantEngine(name)->Name()).c_str(),
+               static_cast<long>(g.num_nodes()),
+               static_cast<long>(g.num_edges()),
+               FormatSeconds(timer.ElapsedSeconds()).c_str());
+  return Status::OK();
 }
 
-/// A type-erased engine plus whatever storage must outlive it (the baseline
-/// adapters hold a pointer to the transition matrix rather than a copy).
-struct EngineBox {
-  std::unique_ptr<linalg::CsrMatrix> transition;  // null for CSR+
-  std::unique_ptr<core::QueryEngine> engine;
-  // Non-owning view of `engine` when it is a CSR+ engine, so commands can
-  // run the deferred mmap section verification before declaring success.
-  core::CsrPlusEngine* csrplus = nullptr;
-};
+/// `pair` and `precompute` need CSR+'s own API (SinglePairQuery,
+/// SavePrecompute), so they always build a csr+ tenant. The engine lives as
+/// long as `registry`.
+Result<const core::CsrPlusEngine*> AddCsrPlusTenant(
+    const graph::Graph& g, CliOptions options,
+    service::EngineRegistry* registry) {
+  options.method = service::EngineKind::kCsrPlus;
+  CSR_RETURN_IF_ERROR(AddGraphTenant(kDefaultGraph, g, options, {}, registry));
+  return static_cast<const core::CsrPlusEngine*>(
+      registry->TenantEngine(kDefaultGraph).get());
+}
 
 /// Settles the lazy checksum verification of an mmap-loaded engine. Heap
 /// loads and non-CSR+ engines return 0 immediately; a mapped engine whose
 /// backing file was modified after mapping fails here with exit 1, which is
 /// what lets the CI corruption check drive the mmap path end to end.
-int FinishMappedVerification(const EngineBox& box) {
-  if (box.csrplus == nullptr || !box.csrplus->is_mapped()) return 0;
-  Status verified = box.csrplus->VerifyMappedSections();
+int FinishMappedVerification(const core::QueryEngine& engine) {
+  const auto* csrplus = dynamic_cast<const core::CsrPlusEngine*>(&engine);
+  if (csrplus == nullptr || !csrplus->is_mapped()) return 0;
+  Status verified = csrplus->VerifyMappedSections();
   if (!verified.ok()) {
     std::fprintf(stderr, "error: %s\n", verified.ToString().c_str());
     return 1;
   }
   return 0;
-}
-
-Result<EngineBox> BuildAnyEngine(const graph::Graph& g,
-                                 const CliOptions& options) {
-  EngineBox box;
-  if (options.method == eval::Method::kCsrPlus) {
-    auto engine = options.artifact.empty()
-                      ? BuildEngine(g, options)
-                      : LoadEngineFromArtifact(g, options);
-    if (!engine.ok()) return engine.status();
-    auto owned = std::make_unique<core::CsrPlusEngine>(std::move(*engine));
-    box.csrplus = owned.get();
-    box.engine = std::move(owned);
-    return box;
-  }
-  if (!options.artifact.empty()) {
-    return Status::InvalidArgument(
-        "--artifact is only supported with --method=csr+");
-  }
-  if (options.precision != core::Precision::kF64) {
-    return Status::InvalidArgument(
-        "--precision=f32 is only supported with --method=csr+");
-  }
-  box.transition = std::make_unique<linalg::CsrMatrix>(
-      graph::ColumnNormalizedTransition(g));
-  eval::RunConfig config;
-  config.rank = std::min<Index>(options.rank, g.num_nodes());
-  config.damping = options.damping;
-  WallTimer timer;
-  CSR_ASSIGN_OR_RETURN(
-      box.engine, eval::CreateEngine(options.method, *box.transition, config));
-  std::fprintf(stderr, "built %s engine in %s\n",
-               std::string(box.engine->Name()).c_str(),
-               FormatSeconds(timer.ElapsedSeconds()).c_str());
-  return box;
 }
 
 int RunQuery(const CliOptions& options) {
@@ -549,15 +528,19 @@ int RunQuery(const CliOptions& options) {
     }
     queries.push_back(*compact);
   }
-  auto box = BuildAnyEngine(g->graph, options);
-  if (!box.ok()) {
-    std::fprintf(stderr, "error: %s\n", box.status().ToString().c_str());
+  // The registry owns the transition matrix the RLS and RP-CoSim engines
+  // read in place, so it outlives every use of the engine.
+  service::EngineRegistry registry;
+  Status added =
+      AddGraphTenant(kDefaultGraph, g->graph, options, {}, &registry);
+  if (!added.ok()) {
+    std::fprintf(stderr, "error: %s\n", added.ToString().c_str());
     return 1;
   }
+  const auto engine = registry.TenantEngine(kDefaultGraph);
   // Generic dispatch through the QueryEngine interface: one shared
   // multi-source evaluation, then a per-column top-k selection.
-  const core::QueryEngine& engine = *box->engine;
-  auto scores = engine.MultiSourceQuery(queries);
+  auto scores = engine->MultiSourceQuery(queries);
   if (!scores.ok()) {
     std::fprintf(stderr, "error: %s\n", scores.status().ToString().c_str());
     return 1;
@@ -571,31 +554,10 @@ int RunQuery(const CliOptions& options) {
                   sn.score);
     }
   }
-  return FinishMappedVerification(*box);
+  return FinishMappedVerification(*engine);
 }
 
-/// The CLI's method names map onto the registry's engine kinds 1:1.
-service::EngineKind ToEngineKind(eval::Method method) {
-  switch (method) {
-    case eval::Method::kCsrPlus:
-      return service::EngineKind::kCsrPlus;
-    case eval::Method::kCsrNi:
-      return service::EngineKind::kCsrNi;
-    case eval::Method::kCsrIt:
-      return service::EngineKind::kCsrIt;
-    case eval::Method::kCsrRls:
-      return service::EngineKind::kCsrRls;
-    case eval::Method::kCoSimMate:
-      return service::EngineKind::kCoSimMate;
-    case eval::Method::kRpCoSim:
-      return service::EngineKind::kRpCoSim;
-    case eval::Method::kDynamic:
-      return service::EngineKind::kDynamic;
-  }
-  return service::EngineKind::kCsrPlus;
-}
-
-/// Prints the end-of-run cache summary shared by both serve modes.
+/// Prints the end-of-run cache summary of one tenant.
 void PrintCacheSummary(const cache::ColumnCache* column_cache) {
   if (column_cache == nullptr) return;
   const cache::ColumnCacheStats cs = column_cache->Stats();
@@ -613,69 +575,135 @@ void PrintCacheSummary(const cache::ColumnCache* column_cache) {
   }
 }
 
-/// Starts `server`, prints the listen line and blocks in sigwait until
-/// SIGINT/SIGTERM, then shuts the server down. Preconditions handled by the
-/// caller: signals already blocked (so every thread spawned below inherits
-/// the mask and sigwait gets the signal).
-int ServeUntilSignal(net::Server* server, const sigset_t* sigs) {
-  Status started = server->Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
-    return 1;
-  }
-  // Scripts (and the CI smoke test) wait for this line before connecting.
-  std::printf("listening on %s\n", server->address().c_str());
-  std::fflush(stdout);
-  int sig = 0;
-  sigwait(sigs, &sig);
-  std::fprintf(stderr, "received signal %d, shutting down\n", sig);
-  server->Shutdown();
-  return 0;
-}
-
-/// Per-tenant wiring between the wire protocol and one served graph: the
-/// compact-id index (text inputs compact sparse original ids at load time;
-/// binary .csrg inputs are identity-mapped and skip the hooks) plus the
-/// routing entry the server dispatches to. Addresses must stay stable for
-/// the server's lifetime, so RunServe* keeps these behind unique_ptr.
-struct TenantWiring {
+/// CLI-side state of one served graph. The server dispatches to `route`
+/// for the server's lifetime, so RunServe keeps these behind unique_ptr.
+struct ServedTenant {
   std::string name;
+  /// Compact-id index: text inputs compact sparse original ids at load time;
+  /// binary .csrg inputs are identity-mapped and skip the hooks.
   std::vector<int64_t> original_ids;  // empty == identity mapping
   std::unordered_map<int64_t, Index> compact_index;
   net::ServerOptions::Route route;
+  /// The --shed-depth approximate tier. ServiceOptions holds it by raw
+  /// pointer, so the CLI owns it (and the matrix it reads) per tenant; it
+  /// must outlive the registry.
+  std::unique_ptr<linalg::CsrMatrix> approx_transition;
+  std::unique_ptr<baselines::RpCosimEngine> approx;
 };
 
-/// Fills `wiring->route` for a tenant: its service plus the id translation
-/// hooks so socket clients speak the same ids as `csrplus query` (and get
-/// the same bytes back). ToCompact is a linear scan, fine for a one-shot
-/// CLI query but not per-request — build a hash index once.
-void WireTenant(service::QueryService* service, TenantWiring* wiring) {
-  wiring->route.service = service;
-  if (wiring->original_ids.empty()) return;
-  wiring->compact_index.reserve(wiring->original_ids.size());
-  for (std::size_t i = 0; i < wiring->original_ids.size(); ++i) {
-    wiring->compact_index[wiring->original_ids[i]] = static_cast<Index>(i);
+/// Approximate serving tier (docs/serving-tiers.md): a hardened RP-CoSim
+/// engine over `g`. The tenant's service sheds best-effort traffic to it
+/// once its admission queue reaches --shed-depth.
+Status AttachApproxTier(const graph::Graph& g, const CliOptions& options,
+                        ServedTenant* tenant,
+                        service::ServiceOptions* service_options) {
+  tenant->approx_transition = std::make_unique<linalg::CsrMatrix>(
+      graph::ColumnNormalizedTransition(g));
+  baselines::RpCoSimOptions rp_options;
+  rp_options.damping = options.damping;
+  rp_options.num_samples = std::max<Index>(options.approx_samples, 1);
+  tenant->approx = std::make_unique<baselines::RpCosimEngine>(
+      tenant->approx_transition.get(), rp_options);
+  WallTimer timer;
+  CSR_RETURN_IF_ERROR(tenant->approx->PrecomputeSketch());
+  std::fprintf(stderr,
+               "%s: approximate tier %s (d=%ld, advertised error bound %.3g) "
+               "sketched in %s; shedding at depth >= %d, resuming <= %d\n",
+               tenant->name.c_str(),
+               std::string(tenant->approx->Name()).c_str(),
+               static_cast<long>(rp_options.num_samples),
+               tenant->approx->Accuracy().error_bound,
+               FormatSeconds(timer.ElapsedSeconds()).c_str(),
+               options.shed_depth, options.shed_resume);
+  service_options->approximate_engine = tenant->approx.get();
+  service_options->shed_trigger_depth = options.shed_depth;
+  service_options->shed_resume_depth = options.shed_resume;
+  service_options->shed_headroom_micros =
+      static_cast<uint64_t>(options.shed_headroom_ms) * 1000;
+  return Status::OK();
+}
+
+/// Fills `tenant->route` with its service plus the id translation hooks so
+/// socket clients speak the same ids as `csrplus query` (and get the same
+/// bytes back). ToCompact is a linear scan, fine for a one-shot CLI query
+/// but not per-request — build a hash index once.
+void WireTenant(service::QueryService* service, ServedTenant* tenant) {
+  tenant->route.service = service;
+  if (tenant->original_ids.empty()) return;
+  tenant->compact_index.reserve(tenant->original_ids.size());
+  for (std::size_t i = 0; i < tenant->original_ids.size(); ++i) {
+    tenant->compact_index[tenant->original_ids[i]] = static_cast<Index>(i);
   }
-  TenantWiring* w = wiring;
-  wiring->route.to_internal = [w](int64_t original) -> Result<Index> {
-    auto it = w->compact_index.find(original);
-    if (it == w->compact_index.end()) {
+  tenant->route.to_internal = [tenant](int64_t original) -> Result<Index> {
+    auto it = tenant->compact_index.find(original);
+    if (it == tenant->compact_index.end()) {
       return Status::NotFound("node id " + std::to_string(original) +
-                              " does not appear in graph '" + w->name + "'");
+                              " does not appear in graph '" + tenant->name +
+                              "'");
     }
     return it->second;
   };
-  wiring->route.to_external = [w](Index compact) {
-    return w->original_ids[static_cast<std::size_t>(compact)];
+  tenant->route.to_external = [tenant](Index compact) {
+    return tenant->original_ids[static_cast<std::size_t>(compact)];
   };
 }
 
-/// `serve --listen`: run the socket front end over a registry until
+/// Loads `path` and adds it to `registry` as `tenant->name` with the serve
+/// knobs: service options, a `cache_bytes` cache slice and, with
+/// --shed-depth, the tenant's own approximate tier. Then wires the tenant's
+/// route for the socket server.
+Status AddServedTenant(const std::string& path, const CliOptions& options,
+                       int64_t cache_bytes, service::EngineRegistry* registry,
+                       ServedTenant* tenant) {
+  CSR_ASSIGN_OR_RETURN(LoadedGraph g, LoadGraph(path, options));
+  tenant->original_ids = std::move(g.original_ids);
+  service::TenantOptions tenant_options;
+  tenant_options.service.coalesce = !options.no_coalesce;
+  // Submit rejects requests wider than max_batch_queries (they could never
+  // be batched); let --qsize raise the cap so large stress requests and
+  // socket clients sized to --qsize stay admissible.
+  tenant_options.service.max_batch_queries = std::max<Index>(
+      tenant_options.service.max_batch_queries, options.qsize);
+  tenant_options.service.max_outstanding_bytes =
+      static_cast<int64_t>(options.tenant_budget_mb) << 20;
+  tenant_options.cache_capacity_bytes = cache_bytes;
+  if (options.shed_depth > 0) {
+    CSR_RETURN_IF_ERROR(
+        AttachApproxTier(g.graph, options, tenant, &tenant_options.service));
+  }
+  CSR_RETURN_IF_ERROR(AddGraphTenant(tenant->name, g.graph, options,
+                                     tenant_options, registry));
+  WireTenant(registry->Find(tenant->name), tenant);
+  return Status::OK();
+}
+
+/// Parses the NAME=PATH,... tenant spec.
+Result<std::vector<std::pair<std::string, std::string>>> ParseGraphSpecs(
+    const std::string& spec) {
+  std::vector<std::pair<std::string, std::string>> specs;
+  std::size_t start = 0;
+  while (start <= spec.size()) {
+    std::size_t end = spec.find(',', start);
+    if (end == std::string::npos) end = spec.size();
+    const std::string item = spec.substr(start, end - start);
+    const std::size_t eq = item.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
+      return Status::InvalidArgument("bad --graphs entry '" + item +
+                                     "' (want NAME=PATH)");
+    }
+    specs.emplace_back(item.substr(0, eq), item.substr(eq + 1));
+    start = end + 1;
+  }
+  return specs;
+}
+
+/// `serve --listen`: run the socket front end over the registry until
 /// SIGINT/SIGTERM. Every request is routed by its wire graph_id (empty =
-/// default tenant), including in single-graph mode, where the lone tenant
-/// is also reachable by name.
+/// default tenant). Preconditions handled by the caller: signals already
+/// blocked (so every thread spawned inherits the mask and sigwait gets the
+/// signal).
 int RunServeSocket(const CliOptions& options, service::EngineRegistry* registry,
-                   std::vector<std::unique_ptr<TenantWiring>>* wirings,
+                   const std::vector<std::unique_ptr<ServedTenant>>& tenants,
                    const sigset_t* sigs) {
   auto host_port = net::ParseHostPort(options.listen);
   if (!host_port.ok()) {
@@ -688,8 +716,8 @@ int RunServeSocket(const CliOptions& options, service::EngineRegistry* registry,
   server_options.port = host_port->second;
   server_options.num_workers = std::max(1, options.net_workers);
   std::unordered_map<std::string, const net::ServerOptions::Route*> routes;
-  for (const auto& wiring : *wirings) {
-    routes.emplace(wiring->name, &wiring->route);
+  for (const auto& tenant : tenants) {
+    routes.emplace(tenant->name, &tenant->route);
   }
   const std::string default_name = registry->default_tenant();
   server_options.router =
@@ -703,216 +731,30 @@ int RunServeSocket(const CliOptions& options, service::EngineRegistry* registry,
     return it == routes.end() ? nullptr : it->second;
   };
   net::Server server(nullptr, server_options);
-  const int code = ServeUntilSignal(&server, sigs);
-  registry->Shutdown();
-  for (const auto& wiring : *wirings) {
-    if (wirings->size() > 1) std::printf("tenant %s:\n", wiring->name.c_str());
-    PrintCacheSummary(registry->TenantCache(wiring->name));
-  }
-  return code;
-}
-
-/// `serve --graphs=a=p1,b=p2 --listen=H:P`: the multi-tenant socket server.
-/// One registry tenant per named graph; --cache-mb is split evenly into
-/// per-tenant cache slices and --tenant-budget-mb caps each tenant's
-/// in-flight request bytes independently (budget isolation).
-int RunServeMulti(const CliOptions& options, const sigset_t* sigs) {
-  if (options.positional.size() != 1) {
-    PrintUsage();
-    return 2;
-  }
-  if (options.listen.empty()) {
-    std::fprintf(stderr, "error: --graphs requires --listen=HOST:PORT\n");
-    return 2;
-  }
-  if (!options.artifact.empty() || options.shed_depth > 0) {
-    std::fprintf(stderr,
-                 "error: --artifact and --shed-depth are not supported with "
-                 "--graphs\n");
-    return 2;
-  }
-  // Parse the NAME=PATH,... spec.
-  std::vector<std::pair<std::string, std::string>> specs;
-  std::size_t start = 0;
-  while (start <= options.graphs.size()) {
-    std::size_t end = options.graphs.find(',', start);
-    if (end == std::string::npos) end = options.graphs.size();
-    const std::string item = options.graphs.substr(start, end - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
-      std::fprintf(stderr, "error: bad --graphs entry '%s' (want NAME=PATH)\n",
-                   item.c_str());
-      return 2;
-    }
-    specs.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    start = end + 1;
-  }
-
-  service::EngineRegistry registry;
-  std::vector<std::unique_ptr<TenantWiring>> wirings;
-  const int64_t cache_total =
-      (!options.no_cache && options.cache_mb > 0)
-          ? static_cast<int64_t>(options.cache_mb) << 20
-          : 0;
-  for (const auto& [name, path] : specs) {
-    auto g = LoadGraph(path, options);
-    if (!g.ok()) {
-      std::fprintf(stderr, "error: graph '%s': %s\n", name.c_str(),
-                   g.status().ToString().c_str());
-      return 1;
-    }
-    service::TenantOptions tenant_options;
-    tenant_options.kind = ToEngineKind(options.method);
-    tenant_options.config.rank =
-        std::min<Index>(options.rank, g->graph.num_nodes());
-    tenant_options.config.damping = options.damping;
-    tenant_options.config.precision = options.precision;
-    tenant_options.service.coalesce = !options.no_coalesce;
-    tenant_options.service.max_batch_queries = std::max<Index>(
-        tenant_options.service.max_batch_queries, options.qsize);
-    tenant_options.service.max_outstanding_bytes =
-        static_cast<int64_t>(options.tenant_budget_mb) << 20;
-    tenant_options.cache_capacity_bytes =
-        cache_total / static_cast<int64_t>(specs.size());
-    WallTimer timer;
-    Status added = registry.AddTenant(
-        name, graph::ColumnNormalizedTransition(g->graph), tenant_options);
-    if (!added.ok()) {
-      std::fprintf(stderr, "error: graph '%s': %s\n", name.c_str(),
-                   added.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "tenant %s: n=%ld m=%ld built in %s\n", name.c_str(),
-                 static_cast<long>(g->graph.num_nodes()),
-                 static_cast<long>(g->graph.num_edges()),
-                 FormatSeconds(timer.ElapsedSeconds()).c_str());
-    auto wiring = std::make_unique<TenantWiring>();
-    wiring->name = name;
-    wiring->original_ids = std::move(g->original_ids);
-    WireTenant(registry.Find(name), wiring.get());
-    wirings.push_back(std::move(wiring));
-  }
-  return RunServeSocket(options, &registry, &wirings, sigs);
-}
-
-int RunServe(const CliOptions& options) {
-  // Socket mode waits for SIGINT/SIGTERM via sigwait; block the signals
-  // before any thread (pool workers, dispatcher, epoll workers) is spawned
-  // so they all inherit the mask and the signal lands in sigwait.
-  sigset_t sigs;
-  sigemptyset(&sigs);
-  const bool socket_mode = !options.listen.empty();
-  if (socket_mode) {
-    sigaddset(&sigs, SIGINT);
-    sigaddset(&sigs, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-  }
-  if (!options.graphs.empty()) return RunServeMulti(options, &sigs);
-  if (options.positional.size() != 2) {
-    PrintUsage();
-    return 2;
-  }
-  auto g = LoadGraph(options.positional[1], options);
-  if (!g.ok()) {
-    std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
+  Status started = server.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
     return 1;
   }
-  auto box = BuildAnyEngine(g->graph, options);
-  if (!box.ok()) {
-    std::fprintf(stderr, "error: %s\n", box.status().ToString().c_str());
-    return 1;
-  }
-  const Index n = box->engine->NumNodes();
+  // Scripts (and the CI smoke test) wait for this line before connecting.
+  std::printf("listening on %s\n", server.address().c_str());
+  std::fflush(stdout);
+  int sig = 0;
+  sigwait(sigs, &sig);
+  std::fprintf(stderr, "received signal %d, shutting down\n", sig);
+  server.Shutdown();
+  return 0;
+}
+
+/// `serve` without --listen: hammer `tenant`'s service from --clients
+/// threads and print throughput, latency and outcome counts.
+int RunStressDemo(const CliOptions& options, service::QueryService* service,
+                  const ServedTenant& tenant) {
+  const Index n = service->engine().NumNodes();
   const Index qsize = std::min<Index>(std::max<Index>(options.qsize, 1), n);
   // Clients draw from a hot set (skewed access is what makes serving-time
   // coalescing pay: overlapping requests dedup inside the micro-batch).
   const Index hot = std::min<Index>(n, std::max<Index>(4 * qsize, 32));
-
-  service::ServiceOptions service_options;
-  service_options.coalesce = !options.no_coalesce;
-  service_options.max_outstanding_bytes =
-      static_cast<int64_t>(options.tenant_budget_mb) << 20;
-  // Submit rejects requests wider than max_batch_queries (they could never
-  // be batched); let --qsize raise the cap so large stress requests and
-  // socket clients sized to --qsize stay admissible.
-  service_options.max_batch_queries =
-      std::max<Index>(service_options.max_batch_queries, qsize);
-
-  // Approximate serving tier (docs/serving-tiers.md): a hardened RP-CoSim
-  // engine over the same graph. The service sheds best-effort traffic to it
-  // once the admission queue reaches --shed-depth. Declared before the
-  // service so it outlives it.
-  std::unique_ptr<linalg::CsrMatrix> approx_transition;
-  std::unique_ptr<baselines::RpCosimEngine> approx_engine;
-  if (options.shed_depth > 0) {
-    const linalg::CsrMatrix* transition = box->transition.get();
-    if (transition == nullptr) {
-      approx_transition = std::make_unique<linalg::CsrMatrix>(
-          graph::ColumnNormalizedTransition(g->graph));
-      transition = approx_transition.get();
-    }
-    baselines::RpCoSimOptions rp_options;
-    rp_options.damping = options.damping;
-    rp_options.num_samples = std::max<Index>(options.approx_samples, 1);
-    approx_engine =
-        std::make_unique<baselines::RpCosimEngine>(transition, rp_options);
-    WallTimer approx_timer;
-    Status hardened = approx_engine->PrecomputeSketch();
-    if (!hardened.ok()) {
-      std::fprintf(stderr, "error: %s\n", hardened.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "approximate tier: %s (d=%ld, advertised error bound %.3g) "
-                 "sketched in %s; shedding at depth >= %d, resuming <= %d\n",
-                 std::string(approx_engine->Name()).c_str(),
-                 static_cast<long>(rp_options.num_samples),
-                 approx_engine->Accuracy().error_bound,
-                 FormatSeconds(approx_timer.ElapsedSeconds()).c_str(),
-                 options.shed_depth, options.shed_resume);
-    service_options.approximate_engine = approx_engine.get();
-    service_options.shed_trigger_depth = options.shed_depth;
-    service_options.shed_resume_depth = options.shed_resume;
-    service_options.shed_headroom_micros =
-        static_cast<uint64_t>(options.shed_headroom_ms) * 1000;
-  }
-
-  // Single-graph serving still goes through the registry (the lone tenant is
-  // named "default"), so the column cache becomes the tenant's own slice and
-  // socket clients can address the graph by name. Column cache: on by
-  // default for engines that can vouch for their state (StateFingerprint
-  // != 0); --no-cache or --cache-mb=0 turns it off.
-  static constexpr char kDefaultGraph[] = "default";
-  service::EngineRegistry registry;
-  service::TenantOptions tenant_options;
-  tenant_options.service = service_options;
-  tenant_options.cache_capacity_bytes =
-      (!options.no_cache && options.cache_mb > 0)
-          ? static_cast<int64_t>(options.cache_mb) << 20
-          : 0;
-  // The box keeps its raw CsrPlusEngine view for FinishMappedVerification;
-  // ownership of the type-erased engine moves to the registry tenant.
-  Status added = registry.AddTenantWithEngine(
-      kDefaultGraph,
-      std::shared_ptr<const core::QueryEngine>(std::move(box->engine)),
-      tenant_options);
-  if (!added.ok()) {
-    std::fprintf(stderr, "error: %s\n", added.ToString().c_str());
-    return 1;
-  }
-  service::QueryService* service = registry.Find(kDefaultGraph);
-
-  if (socket_mode) {
-    std::vector<std::unique_ptr<TenantWiring>> wirings;
-    auto wiring = std::make_unique<TenantWiring>();
-    wiring->name = kDefaultGraph;
-    wiring->original_ids = std::move(g->original_ids);
-    WireTenant(service, wiring.get());
-    wirings.push_back(std::move(wiring));
-    const int code = RunServeSocket(options, &registry, &wirings, &sigs);
-    const int verify_code = FinishMappedVerification(*box);
-    return code != 0 ? code : verify_code;
-  }
 
   std::mutex agg_mu;
   std::vector<uint64_t> latencies_us;
@@ -964,7 +806,6 @@ int RunServe(const CliOptions& options) {
   }
   for (auto& t : clients) t.join();
   const double seconds = timer.ElapsedSeconds();
-  registry.Shutdown();
 
   const int total = options.clients * options.requests;
   std::printf("served %d requests (%d clients x %d) in %s\n", total,
@@ -972,7 +813,7 @@ int RunServe(const CliOptions& options) {
               FormatSeconds(seconds).c_str());
   std::printf("  ok=%d deadline=%d rejected=%d other=%d\n", ok, deadline,
               rejected, other);
-  if (approx_engine != nullptr) {
+  if (tenant.approx != nullptr) {
     std::printf("  tier mix (%s requests): exact=%d approximate=%d\n",
                 service::QualityClassName(options.quality), served_exact,
                 served_approx);
@@ -993,9 +834,80 @@ int RunServe(const CliOptions& options) {
                 static_cast<unsigned long long>(pct(0.99)),
                 static_cast<unsigned long long>(latencies_us.back()));
   }
-  PrintCacheSummary(registry.TenantCache(kDefaultGraph));
-  if (other != 0) return 1;
-  return FinishMappedVerification(*box);
+  return other != 0 ? 1 : 0;
+}
+
+/// `serve`: one registry tenant per graph — a positional <graph> is the
+/// one-element spec `default=<graph>`. --cache-mb is split evenly into
+/// per-tenant cache slices, --tenant-budget-mb caps each tenant's in-flight
+/// request bytes independently (budget isolation) and --shed-depth gives
+/// each tenant its own approximate tier. Then either the socket server or
+/// the stress demo against the default tenant runs.
+int RunServe(const CliOptions& options) {
+  const bool positional_graph = options.graphs.empty();
+  if (options.positional.size() != (positional_graph ? 2u : 1u)) {
+    PrintUsage();
+    return 2;
+  }
+  auto specs = ParseGraphSpecs(positional_graph
+                                   ? std::string(kDefaultGraph) + "=" +
+                                         options.positional[1]
+                                   : options.graphs);
+  if (!specs.ok()) {
+    std::fprintf(stderr, "error: %s\n", specs.status().ToString().c_str());
+    return 2;
+  }
+  // Socket mode waits for SIGINT/SIGTERM via sigwait; block the signals
+  // before any thread (pool workers, dispatchers, epoll workers) is spawned
+  // so they all inherit the mask and the signal lands in sigwait.
+  sigset_t sigs;
+  sigemptyset(&sigs);
+  if (!options.listen.empty()) {
+    sigaddset(&sigs, SIGINT);
+    sigaddset(&sigs, SIGTERM);
+    pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
+  }
+
+  // Declared before the registry: the services point at the tenants'
+  // approximate tiers, so the registry must go first.
+  std::vector<std::unique_ptr<ServedTenant>> tenants;
+  service::EngineRegistry registry;
+  // Column cache: on by default for engines that can vouch for their state
+  // (StateFingerprint != 0); --no-cache or --cache-mb=0 turns it off.
+  const int64_t cache_total =
+      (!options.no_cache && options.cache_mb > 0)
+          ? static_cast<int64_t>(options.cache_mb) << 20
+          : 0;
+  for (const auto& [name, path] : *specs) {
+    auto tenant = std::make_unique<ServedTenant>();
+    tenant->name = name;
+    Status added = AddServedTenant(
+        path, options, cache_total / static_cast<int64_t>(specs->size()),
+        &registry, tenant.get());
+    if (!added.ok()) {
+      std::fprintf(stderr, "error: graph '%s': %s\n", name.c_str(),
+                   added.ToString().c_str());
+      return 1;
+    }
+    tenants.push_back(std::move(tenant));
+  }
+
+  const int code =
+      options.listen.empty()
+          ? RunStressDemo(options, registry.Find(registry.default_tenant()),
+                          *tenants.front())
+          : RunServeSocket(options, &registry, tenants, &sigs);
+  registry.Shutdown();
+  int verify_code = 0;
+  for (const auto& tenant : tenants) {
+    if (tenants.size() > 1) std::printf("tenant %s:\n", tenant->name.c_str());
+    PrintCacheSummary(registry.TenantCache(tenant->name));
+    if (verify_code == 0) {
+      verify_code =
+          FinishMappedVerification(*registry.TenantEngine(tenant->name));
+    }
+  }
+  return code != 0 ? code : verify_code;
 }
 
 int RunClient(const CliOptions& options) {
@@ -1079,18 +991,19 @@ int RunPair(const CliOptions& options) {
                  (!a.ok() ? a.status() : b.status()).ToString().c_str());
     return 1;
   }
-  auto engine = BuildEngine(g->graph, options);
+  service::EngineRegistry registry;
+  auto engine = AddCsrPlusTenant(g->graph, options, &registry);
   if (!engine.ok()) {
     std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  auto score = engine->SinglePairQuery(*a, *b);
+  auto score = (*engine)->SinglePairQuery(*a, *b);
   if (!score.ok()) {
     std::fprintf(stderr, "error: %s\n", score.status().ToString().c_str());
     return 1;
   }
   std::printf("%.8f\n", *score);
-  return 0;
+  return FinishMappedVerification(**engine);
 }
 
 int RunPrecompute(const CliOptions& options) {
@@ -1103,19 +1016,20 @@ int RunPrecompute(const CliOptions& options) {
     std::fprintf(stderr, "error: %s\n", g.status().ToString().c_str());
     return 1;
   }
-  auto engine = BuildEngine(g->graph, options);
+  service::EngineRegistry registry;
+  auto engine = AddCsrPlusTenant(g->graph, options, &registry);
   if (!engine.ok()) {
     std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
     return 1;
   }
-  Status saved = engine->SavePrecompute(options.positional[2]);
+  Status saved = (*engine)->SavePrecompute(options.positional[2]);
   if (!saved.ok()) {
     std::fprintf(stderr, "error: %s\n", saved.ToString().c_str());
     return 1;
   }
   std::printf("wrote %s (n=%ld r=%ld c=%.3f)\n", options.positional[2].c_str(),
-              static_cast<long>(engine->num_nodes()),
-              static_cast<long>(engine->rank()), engine->damping());
+              static_cast<long>((*engine)->num_nodes()),
+              static_cast<long>((*engine)->rank()), (*engine)->damping());
   return 0;
 }
 
