@@ -5,8 +5,8 @@
 // requests into micro-batches. This bench quantifies the serving-time win:
 // the same client load (N threads, each issuing multi-source requests drawn
 // from a hot set) runs once against a coalescing service and once against
-// the serialized arm (coalesce = false, one engine call per request), and
-// reports QPS plus tail latency for each.
+// the serialized arm (max_batch_requests = 1, one engine call per request),
+// and reports QPS plus tail latency for each.
 //
 // A third arm drives the same coalescing service through the real socket
 // front end (net::Server on loopback, one blocking net::Client per client
@@ -52,7 +52,7 @@ LoadResult RunLoad(std::shared_ptr<const core::QueryEngine> engine,
                    bool coalesce, int num_clients, int requests_per_client,
                    Index qsize, Index hot_set) {
   service::ServiceOptions options;
-  options.coalesce = coalesce;
+  if (!coalesce) options.max_batch_requests = 1;
   service::QueryService service(std::move(engine), options);
 
   std::atomic<int> ok{0}, failed{0};

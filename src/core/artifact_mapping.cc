@@ -39,8 +39,6 @@ Result<std::shared_ptr<ArtifactMapping>> ArtifactMapping::Open(
     ::close(fd);
     return Status::IOError("cannot mmap " + path + ": " + err);
   }
-  CSRPLUS_OBS_COUNTER_ADD("csrplus.artifact.mmaps", "calls",
-                          "artifact files mapped for zero-copy serving", 1);
   // The constructor is private; hand the members over directly.
   auto mapping = std::shared_ptr<ArtifactMapping>(new ArtifactMapping());
   mapping->path_ = path;
@@ -75,10 +73,32 @@ void ArtifactMapping::Advise(int64_t offset, int64_t length,
     case Advice::kRandom: hint = MADV_RANDOM; break;
     case Advice::kSequential: hint = MADV_SEQUENTIAL; break;
     case Advice::kWillNeed: hint = MADV_WILLNEED; break;
+    case Advice::kDontNeed: hint = MADV_DONTNEED; break;
   }
   // Best-effort by contract; some filesystems reject hints they can't use.
   (void)::madvise(const_cast<unsigned char*>(data_) + begin,
                   static_cast<std::size_t>(end - begin), hint);
+}
+
+Status ArtifactMapping::ReadAt(int64_t offset, int64_t bytes,
+                               void* out) const {
+  auto* dst = static_cast<unsigned char*>(out);
+  while (bytes > 0) {
+    const ssize_t got = ::pread(fd_, dst, static_cast<std::size_t>(bytes),
+                                static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      return Status::IOError("cannot read " + path_ + ": " +
+                             std::strerror(errno));
+    }
+    if (got == 0) {
+      return Status::DataLoss(path_ + ": artifact truncated while reading");
+    }
+    dst += got;
+    offset += got;
+    bytes -= got;
+  }
+  return Status::OK();
 }
 
 Status ArtifactMapping::CheckNotTruncated() const {
@@ -110,8 +130,8 @@ Status ArtifactMapping::VerifySections() const {
                                data_ + s.offset,
                                static_cast<std::size_t>(s.bytes));
     if (got != s.checksum) {
-      return Status::DataLoss(path_ + ": checksum mismatch in mapped section " +
-                              s.name + " (artifact modified after mapping?)");
+      return Status::DataLoss(path_ + ": checksum mismatch in section " +
+                              s.name);
     }
   }
   return Status::OK();

@@ -1,7 +1,11 @@
 // RAII mmap wrapper for .cspc precompute artifacts.
 //
-// An ArtifactMapping owns a read-only, MAP_SHARED mapping of an artifact
-// file plus the file descriptor behind it, so a CsrPlusEngine can serve
+// Every artifact read opens the file through an ArtifactMapping: the one
+// artifact parser (precompute_io.cc) walks the header and section table in
+// place, for heap loads, mapped loads and ReadArtifactInfo alike. It owns a
+// read-only, MAP_SHARED mapping of the file plus the file descriptor behind
+// it. A heap load reads the payloads into owning buffers with ReadAt() and
+// drops the mapping; a mapped load keeps it, so a CsrPlusEngine can serve
 // factor sections zero-copy straight out of the page cache: warm start is
 // O(1) instead of O(rn) copying, and factors larger than RAM page in on
 // demand. MAP_SHARED (not PRIVATE) keeps later writes to the file visible
@@ -12,12 +16,11 @@
 // Unlinking the file after a successful map is harmless — POSIX keeps the
 // inode alive until the mapping is gone.
 //
-// Section checksums are verified lazily: Open() validates nothing beyond
-// the mmap itself; the loader records the artifact's section table via
-// StartBackgroundVerify(), which checksums every section on a background
-// thread (new shared state — the thread is joined in the destructor, and
-// Verify()/verification_status() are safe from any thread). The eager,
-// fully-checksummed read path remains available as LoadMode::kHeapVerified.
+// Section checksums of a mapped load are verified lazily: Open() validates
+// nothing beyond the mmap itself; the loader records the artifact's section
+// table via SetSections(), and StartBackgroundVerify() checksums every
+// section on a background thread (the thread is joined in the destructor,
+// and Verify()/verification_status() are safe from any thread).
 
 #ifndef CSRPLUS_CORE_ARTIFACT_MAPPING_H_
 #define CSRPLUS_CORE_ARTIFACT_MAPPING_H_
@@ -49,6 +52,8 @@ class ArtifactMapping {
     kRandom,      ///< row-gather access (query columns of U).
     kSequential,  ///< full streaming scans.
     kWillNeed,    ///< prefetch now (factors streamed on every query).
+    kDontNeed,    ///< drop from this process's RSS (the page cache keeps
+                  ///< them; a later touch faults them back in).
   };
 
   /// Opens `path` read-only and maps the whole file (PROT_READ, MAP_SHARED).
@@ -71,6 +76,11 @@ class ArtifactMapping {
   /// madvise failure is not an error worth surfacing (the kernel rounds the
   /// range itself; EINVAL on exotic filesystems just means "no hint").
   void Advise(int64_t offset, int64_t length, Advice advice) const;
+
+  /// Copies bytes [offset, offset + bytes) of the file into `out` with
+  /// pread rather than through the mapping, so the pages never count toward
+  /// this process's resident set. DataLoss when the file ends early.
+  Status ReadAt(int64_t offset, int64_t bytes, void* out) const;
 
   /// DataLoss if the file has been truncated below the mapped length since
   /// Open() — the SIGBUS-safe probe that must precede any payload read once

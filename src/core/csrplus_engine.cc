@@ -171,21 +171,18 @@ Result<CsrPlusEngine> CsrPlusEngine::PrecomputeFromPaperFactors(
   engine.stats_.squaring_iterations = max_k + 1;
 
   // Line 6: Z = U (Sigma P Sigma), memoised for the query phase.
+  DenseMatrix z;
   {
     CSRPLUS_OBS_SCOPED_US("csrplus.phase.z_memoise_us",
                           "memoising Z = U (Sigma P Sigma) (Thm 3.5)");
     CSRPLUS_TRACE_SPAN(z_span, obs::spans::kZMemoise);
     DenseMatrix sps = linalg::DiagScale(factors.sigma, p, factors.sigma);
-    engine.z_ = linalg::Gemm(factors.u, sps);
+    z = linalg::Gemm(factors.u, sps);
   }
-  engine.u_ = std::move(factors.u);
-  engine.p_ = std::move(p);
   engine.sigma_ = std::move(factors.sigma);
-  engine.v_ = std::move(factors.v);
+  engine.SetHeapFactors(std::move(factors.u), std::move(z), std::move(p),
+                        std::move(factors.v));
   engine.stats_.subspace_seconds = timer.ElapsedSeconds();
-  engine.stats_.state_bytes =
-      engine.u_.AllocatedBytes() + engine.z_.AllocatedBytes() +
-      engine.p_.AllocatedBytes();
   CSRPLUS_OBS_GAUGE_SET("csrplus.engine.state_bytes", "bytes",
                         "heap bytes of the most recent engine's U + Z + P",
                         engine.stats_.state_bytes);
@@ -193,6 +190,22 @@ Result<CsrPlusEngine> CsrPlusEngine::PrecomputeFromPaperFactors(
     CSR_RETURN_IF_ERROR(engine.SetServingPrecision(options.precision));
   }
   return engine;
+}
+
+void CsrPlusEngine::SetHeapFactors(DenseMatrix u, DenseMatrix z, DenseMatrix p,
+                                   DenseMatrix v) {
+  auto store = std::make_shared<FactorStore>();
+  store->u = std::move(u);
+  store->z = std::move(z);
+  store->p = std::move(p);
+  store->v = std::move(v);
+  u_ = store->u;
+  z_ = store->z;
+  p_ = store->p;
+  v_ = store->v;
+  stats_.state_bytes = store->u.AllocatedBytes() + store->z.AllocatedBytes() +
+                       store->p.AllocatedBytes();
+  store_ = std::move(store);
 }
 
 Status CsrPlusEngine::SetServingPrecision(Precision precision) {

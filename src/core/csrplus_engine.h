@@ -109,9 +109,9 @@ GraphFingerprint FingerprintTransition(const CsrMatrix& transition);
 
 /// How LoadPrecompute materialises an artifact's factor sections.
 enum class LoadMode {
-  /// Deserialise everything into heap DenseMatrix buffers, verifying every
-  /// section checksum before the engine is returned (the original, fully
-  /// eager path; O(rn) RAM and copy time).
+  /// Read every section into heap DenseMatrix buffers, verifying each
+  /// checksum before the engine is returned, then drop the mapping the
+  /// parser walked (fully eager; O(rn) RAM and copy time).
   kHeapVerified,
   /// mmap the artifact and serve U/Z/P/V zero-copy out of the page cache.
   /// Header, fingerprint and the small Sigma section are validated eagerly;
@@ -131,14 +131,10 @@ struct LoadOptions {
   /// only for tooling that inspects artifacts detached from any graph.
   std::optional<GraphFingerprint> expected_fingerprint;
 
-  /// Materialisation strategy; see LoadMode.
+  /// Materialisation strategy; see LoadMode. kHeapVerified charges the full
+  /// EngineStateBytes against MemoryBudget::Global(); kMapped charges only
+  /// the Sigma copy, because mapped pages are reclaimable.
   LoadMode mode = LoadMode::kHeapVerified;
-
-  /// Advisory bytes charged against MemoryBudget::Global() for a kMapped
-  /// load (an expected-resident-set estimate; mapped pages are reclaimable,
-  /// so by default only the small heap copies are charged). kHeapVerified
-  /// always charges the full EngineStateBytes regardless of this field.
-  int64_t mapped_budget_bytes = 0;
 
   /// kMapped only: start the background checksum pass at load time. Turning
   /// it off defers all large-section verification to an explicit
@@ -233,7 +229,7 @@ class CsrPlusEngine : public QueryEngine {
   Result<std::vector<ScoredPair>> AllPairsTopK(Index k) const;
 
   /// Number of nodes n.
-  Index num_nodes() const { return mapping_ ? u_map_.rows() : u_.rows(); }
+  Index num_nodes() const { return u_.rows(); }
 
   /// Switches the serving tier. kF32 quantises U/Z into float side buffers
   /// (budget-charged; the double masters are kept, so switching back is
@@ -274,7 +270,7 @@ class CsrPlusEngine : public QueryEngine {
   AccuracyTag Accuracy() const override { return AccuracyTag{}; }
 
   /// The configured rank r.
-  Index rank() const { return mapping_ ? u_map_.cols() : u_.cols(); }
+  Index rank() const { return u_.cols(); }
 
   double damping() const { return damping_; }
 
@@ -288,29 +284,21 @@ class CsrPlusEngine : public QueryEngine {
   /// sections for kMapped engines. Views stay valid as long as this engine
   /// (or any copy of it) is alive; materialising one is an explicit
   /// ToMatrix() copy.
-  DenseMatrixView u() const {
-    return mapping_ ? u_map_ : DenseMatrixView(u_);
-  }
-  DenseMatrixView z() const {
-    return mapping_ ? z_map_ : DenseMatrixView(z_);
-  }
+  DenseMatrixView u() const { return u_; }
+  DenseMatrixView z() const { return z_; }
 
   /// The subspace fixed point P (r x r) — Theorem 3.4's solution.
-  DenseMatrixView p() const {
-    return mapping_ ? p_map_ : DenseMatrixView(p_);
-  }
+  DenseMatrixView p() const { return p_; }
 
   /// The retained singular values (r, descending) and the paper's "V"
   /// factor (n x r). Queries never touch them, but they are kept so the
   /// complete factorisation can be persisted (SavePrecompute) and reused at
   /// the factor level (e.g. incremental updates on a warm-started engine).
   const std::vector<double>& sigma() const { return sigma_; }
-  DenseMatrixView v() const {
-    return mapping_ ? v_map_ : DenseMatrixView(v_);
-  }
+  DenseMatrixView v() const { return v_; }
 
   /// True when the factors are served zero-copy from a mapped artifact.
-  bool is_mapped() const { return mapping_ != nullptr; }
+  bool is_mapped() const { return store_ != nullptr && store_->mapping; }
 
   /// For kMapped engines: blocks until the lazy section-checksum pass has
   /// finished (running it inline when background verification was disabled)
@@ -332,39 +320,38 @@ class CsrPlusEngine : public QueryEngine {
  private:
   CsrPlusEngine() = default;
 
-  // Mode-specific loaders behind LoadPrecompute; defined in
-  // precompute_io.cc.
-  static Result<CsrPlusEngine> LoadPrecomputeHeap(const std::string& path,
-                                                  const LoadOptions& options);
-  static Result<CsrPlusEngine> LoadPrecomputeMapped(const std::string& path,
-                                                    const LoadOptions& options);
+  // Owner of the bytes the factor views alias: the heap matrices of a
+  // computed or heap-loaded engine, or the artifact mapping of a kMapped
+  // one. Immutable once built and shared by every copy of the engine, so
+  // copying an engine never copies factor bytes.
+  struct FactorStore {
+    DenseMatrix u, z, p, v;
+    std::shared_ptr<ArtifactMapping> mapping;
+  };
+
+  // Moves heap factors into a fresh store and points the views at them.
+  void SetHeapFactors(DenseMatrix u, DenseMatrix z, DenseMatrix p,
+                      DenseMatrix v);
 
   // The f32 query block damping * widen(Z32 [U32]_{Q,*}^T), no diagonal
   // term. Float accumulation through the dispatched f32 kernels; the
   // damping multiply and everything downstream stay double.
   DenseMatrix ScaledScoreBlockF32(const std::vector<Index>& queries) const;
 
-  DenseMatrix u_;  // n x r left singular vectors.
-  DenseMatrix z_;  // n x r memoised Z = U (Sigma P Sigma).
-  DenseMatrix p_;  // r x r subspace fixed point (kept for diagnostics).
-  std::vector<double> sigma_;  // r singular values (persisted, not queried).
-  DenseMatrix v_;              // n x r paper-"V" factor (persisted).
-  // Zero-copy tier (LoadMode::kMapped): the mapping keeps the artifact's
-  // pages alive and the *_map_ views alias its section payloads; the heap
-  // matrices above stay empty. shared_ptr makes engine copies cheap and
-  // keeps every copy's views valid. Sigma is always copied to heap (r
-  // doubles) — too small to be worth a view and needed as std::vector.
-  std::shared_ptr<ArtifactMapping> mapping_;
-  DenseMatrixView u_map_;
-  DenseMatrixView z_map_;
-  DenseMatrixView p_map_;
-  DenseMatrixView v_map_;
+  std::shared_ptr<const FactorStore> store_;
+  DenseMatrixView u_;  // n x r left singular vectors.
+  DenseMatrixView z_;  // n x r memoised Z = U (Sigma P Sigma).
+  DenseMatrixView p_;  // r x r subspace fixed point (kept for diagnostics).
+  DenseMatrixView v_;  // n x r paper-"V" factor (persisted).
+  // r singular values (persisted, not queried). Always a heap copy: too
+  // small to be worth a view and needed as std::vector.
+  std::vector<double> sigma_;
   double damping_ = 0.6;
   double epsilon_ = 1e-5;
   GraphFingerprint fingerprint_;
   PrecomputeStats stats_;
   // Serving tier. The float factor copies are row-major n x r mirrors of
-  // u_/z_, populated only while precision_ == kF32 (the doubles stay the
+  // u()/z(), populated only while precision_ == kF32 (the doubles stay the
   // masters; persistence is always double).
   Precision precision_ = Precision::kF64;
   std::vector<float> u32_;

@@ -172,10 +172,11 @@ Status DynamicCsrPlusEngine::RebuildFromScratch() {
   svd_options.rank = options_.base.rank;
   // SVD(Q^T) yields the paper-convention factors directly (the left factor
   // of Q^T is the query factor; see csrplus_engine.cc).
-  CSR_ASSIGN_OR_RETURN(factors_, svd::ComputeTruncatedSvd(qt, svd_options));
+  CSR_ASSIGN_OR_RETURN(svd::TruncatedSvd factors,
+                       svd::ComputeTruncatedSvd(qt, svd_options));
   updates_since_rebuild_ = 0;
   ++rebuild_count_;
-  CSR_RETURN_IF_ERROR(RefreshSubspace());
+  CSR_RETURN_IF_ERROR(RefreshSubspace(std::move(factors)));
   // Freeze the rebuilt state: every column is fresh again, so the base
   // engine answers everything until the next effective update.
   base_engine_ = std::make_shared<const CsrPlusEngine>(*engine_);
@@ -184,10 +185,10 @@ Status DynamicCsrPlusEngine::RebuildFromScratch() {
   return Status::OK();
 }
 
-Status DynamicCsrPlusEngine::RefreshSubspace() {
-  CSR_ASSIGN_OR_RETURN(
-      CsrPlusEngine engine,
-      CsrPlusEngine::PrecomputeFromPaperFactors(factors_, options_.base));
+Status DynamicCsrPlusEngine::RefreshSubspace(svd::TruncatedSvd factors) {
+  CSR_ASSIGN_OR_RETURN(CsrPlusEngine engine,
+                       CsrPlusEngine::PrecomputeFromPaperFactors(
+                           std::move(factors), options_.base));
   engine_.emplace(std::move(engine));
   return Status::OK();
 }
@@ -284,7 +285,11 @@ Result<UpdateReceipt> DynamicCsrPlusEngine::ApplyUpdates(
   UpdateReceipt receipt;
   std::vector<Index> seeds;                        // targets of effective updates
   std::vector<std::pair<Index, Index>> ghosts;     // edges deleted this batch
-  bool needs_refresh = false;                      // Brand updates pending
+  // Brand-updated factors pending a subspace refresh. Copied from the live
+  // engine at the first effective update: its bytes are shared with the
+  // snapshot this engine was cloned from, so they are never updated in
+  // place.
+  std::optional<svd::TruncatedSvd> factors;
 
   std::vector<double> delta(static_cast<std::size_t>(n), 0.0);
   std::vector<double> e_v(static_cast<std::size_t>(n), 0.0);
@@ -334,16 +339,23 @@ Result<UpdateReceipt> DynamicCsrPlusEngine::ApplyUpdates(
       receipt.rebuilt = true;
       seeds.clear();
       ghosts.clear();
-      needs_refresh = false;
+      factors.reset();  // later updates start from the rebuilt factors
       continue;
     }
 
     // Q'^T = Q^T + e_v delta^T: rank-1 update in the factors' orientation.
     std::fill(e_v.begin(), e_v.end(), 0.0);
     e_v[static_cast<std::size_t>(up.v)] = 1.0;
-    CSR_RETURN_IF_ERROR(svd::ApplyRank1Update(e_v, delta, &factors_));
+    if (!factors.has_value()) {
+      // The live engine holds U, Sigma and V bit for bit as its subspace
+      // state was built from them.
+      factors.emplace();
+      factors->u = engine_->u().ToMatrix();
+      factors->sigma = engine_->sigma();
+      factors->v = engine_->v().ToMatrix();
+    }
+    CSR_RETURN_IF_ERROR(svd::ApplyRank1Update(e_v, delta, &*factors));
     ++updates_since_rebuild_;
-    needs_refresh = true;
   }
 
   if (!seeds.empty()) {
@@ -358,12 +370,12 @@ Result<UpdateReceipt> DynamicCsrPlusEngine::ApplyUpdates(
             options_.rebuild_touched_fraction * static_cast<double>(n)) {
       CSR_RETURN_IF_ERROR(RebuildFromScratch());
       receipt.rebuilt = true;
-      needs_refresh = false;
+      factors.reset();
     }
   }
-  if (needs_refresh) {
+  if (factors.has_value()) {
     // One subspace refresh per batch, not per update.
-    CSR_RETURN_IF_ERROR(RefreshSubspace());
+    CSR_RETURN_IF_ERROR(RefreshSubspace(std::move(*factors)));
   }
 
   receipt.touched_support.reserve(static_cast<std::size_t>(touched_count_));

@@ -209,8 +209,9 @@ class DynamicCsrPlusEngine : public QueryEngine {
   /// the result as the new base engine and clears the touched set.
   Status RebuildFromScratch();
 
-  /// Re-runs Algorithm 1 lines 3-6 from the current factors.
-  Status RefreshSubspace();
+  /// Re-runs Algorithm 1 lines 3-6 from `factors` (of Q^T, the paper's
+  /// convention) and makes the result the live engine.
+  Status RefreshSubspace(svd::TruncatedSvd factors);
 
   /// Marks touched = ReverseReach(ForwardReach(seeds)) over the current
   /// adjacency plus `ghost_edges` (edges deleted during the batch, still
@@ -225,8 +226,9 @@ class DynamicCsrPlusEngine : public QueryEngine {
   std::vector<std::vector<int32_t>> in_neighbors_;   // sorted per node
   std::vector<std::vector<int32_t>> out_neighbors_;  // sorted per node
   int64_t num_edges_ = 0;
-  svd::TruncatedSvd factors_;  // of Q^T (paper convention); live state
-  /// Live engine over factors_ (freshest answers; serves touched columns).
+  /// Live engine over the Brand-updated factors (freshest answers; serves
+  /// touched columns). It owns the only copy of those factors, and engine
+  /// clones share its bytes.
   std::optional<CsrPlusEngine> engine_;
   /// Frozen engine from the last full rebuild (serves untouched columns
   /// bit-identically across updates). Shared so engine clones are cheap.

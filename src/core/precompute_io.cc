@@ -1,13 +1,16 @@
 // Implementation of the versioned precompute artifact format declared in
 // precompute_io.h, plus CsrPlusEngine::SavePrecompute / LoadPrecompute.
 //
-// Two read paths share all header/descriptor validation:
-//   * heap (LoadMode::kHeapVerified) — fread everything into owning
-//     DenseMatrix buffers, verifying every checksum before returning;
-//   * mapped (LoadMode::kMapped) — mmap the file via ArtifactMapping and
-//     point DenseMatrixViews straight at the section payloads; the small
-//     Sigma section is checksummed eagerly, the large ones lazily on the
-//     mapping's background verifier thread.
+// One parser reads every artifact: the file is opened with ArtifactMapping
+// and OpenArtifact validates its header, section table, padding and trailer
+// in place. The load modes differ only in what happens to the payloads:
+//   * heap (LoadMode::kHeapVerified) — every section is read into an owning
+//     DenseMatrix and its checksum verified before the engine is returned;
+//     the mapping is then dropped;
+//   * mapped (LoadMode::kMapped) — DenseMatrixViews point straight at the
+//     section payloads; the small Sigma section is checksummed eagerly, the
+//     large ones lazily on the mapping's background verifier thread.
+// ReadArtifactInfo runs the same walk without payload checksums.
 
 #include "core/precompute_io.h"
 
@@ -140,29 +143,9 @@ Status WriteSection(std::FILE* f, uint32_t id, const void* payload,
   return WriteAll(f, payload, static_cast<std::size_t>(payload_bytes), path);
 }
 
-// Reads exactly `bytes` or fails with DataLoss naming `what` (truncation is
-// a corruption condition, not a plain I/O failure: the header told us these
-// bytes must exist).
-Status ReadExact(std::FILE* f, void* data, std::size_t bytes,
-                 const std::string& path, const std::string& what) {
-  if (bytes == 0) return Status::OK();
-  if (std::fread(data, 1, bytes, f) != bytes) {
-    return Status::DataLoss(path + ": artifact truncated in " + what);
-  }
-  return Status::OK();
-}
-
-int64_t FileSize(std::FILE* f) {
-  if (std::fseek(f, 0, SEEK_END) != 0) return -1;
-  const long size = std::ftell(f);
-  if (std::fseek(f, 0, SEEK_SET) != 0) return -1;
-  return size;
-}
-
-// Everything past the magic/version gates that both the FILE and the mapped
-// path must agree on: header checksum, field ranges, and an overflow guard
-// on the sizes the fields imply. Nothing downstream may do size arithmetic
-// on (n, r) before this passes.
+// Magic and version gates, header checksum, field ranges, and an overflow
+// guard on the sizes the fields imply. Nothing downstream may do size
+// arithmetic on (n, r) before this passes.
 Status ValidateHeader(const Header& h, const std::string& path) {
   if (h.magic != kMagic) {
     return Status::InvalidArgument(
@@ -202,31 +185,6 @@ Status ValidateHeader(const Header& h, const std::string& path) {
         " imply a state size past int64; corrupted or hostile header)");
   }
   return Status::OK();
-}
-
-// Opens, sizes and header-validates an artifact. On success the stream is
-// positioned at the first section.
-Result<std::pair<FilePtr, Header>> OpenAndValidateHeader(
-    const std::string& path) {
-  CSR_RETURN_IF_ERROR(RequireLittleEndian());
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::IOError("cannot open " + path);
-
-  const int64_t file_bytes = FileSize(f.get());
-  if (file_bytes < 0) return Status::IOError("cannot size " + path);
-  if (file_bytes == 0) {
-    return Status::DataLoss(path + ": artifact file is empty");
-  }
-  if (file_bytes < static_cast<int64_t>(sizeof(Header))) {
-    return Status::DataLoss(path + ": artifact truncated in header (" +
-                            std::to_string(file_bytes) + " bytes, header is " +
-                            std::to_string(sizeof(Header)) + ")");
-  }
-
-  Header h;
-  CSR_RETURN_IF_ERROR(ReadExact(f.get(), &h, sizeof(h), path, "header"));
-  CSR_RETURN_IF_ERROR(ValidateHeader(h, path));
-  return std::make_pair(std::move(f), h);
 }
 
 GraphFingerprint HeaderFingerprint(const Header& h) {
@@ -275,99 +233,114 @@ Status ValidateDescriptor(const SectionHeader& sh, uint32_t expected_id,
   return Status::OK();
 }
 
-// Reads one section (descriptor, v2 pad, payload), enforcing id/order,
-// exact payload size and checksum. `out` must already be sized to
-// `expected_bytes`.
-Status ReadSection(std::FILE* f, uint32_t version, uint32_t expected_id,
-                   void* out, int64_t expected_bytes,
-                   const std::string& path) {
-  const std::string name = SectionName(expected_id);
-  SectionHeader sh;
-  CSR_RETURN_IF_ERROR(ReadExact(f, &sh, sizeof(sh), path,
-                                "section " + name + " descriptor"));
-  CSR_RETURN_IF_ERROR(ValidateDescriptor(sh, expected_id, expected_bytes, path));
-  const long pos = std::ftell(f);
-  if (pos < 0) return Status::IOError("cannot tell position in " + path);
-  const int64_t pad = SectionPadBytes(version, pos);
-  if (pad > 0) {
-    unsigned char zeros[kSectionAlignment];
-    CSR_RETURN_IF_ERROR(ReadExact(f, zeros, static_cast<std::size_t>(pad),
-                                  path, "section " + name + " padding"));
-    for (int64_t i = 0; i < pad; ++i) {
-      if (zeros[i] != 0) {
+// An opened artifact as the parser reads it: the mapping, the validated
+// header and, in file order, every section's payload extent and recorded
+// checksum.
+struct Artifact {
+  std::shared_ptr<ArtifactMapping> mapping;
+  Header header;
+  std::vector<ArtifactMapping::Section> sections;  // U, Sigma, V, P, Z
+  uint64_t builder_version = 0;  // from the trailer; 0 for legacy files
+};
+
+// The one artifact parser, shared by both load modes and ReadArtifactInfo.
+// Maps the file, validates the header, then walks the section table: each
+// descriptor, the v2 zero padding and the optional trailer. Reads no
+// payload byte; whether and when payload checksums are verified is the
+// caller's choice.
+Result<Artifact> OpenArtifact(const std::string& path) {
+  CSR_RETURN_IF_ERROR(RequireLittleEndian());
+  Artifact artifact;
+  CSR_ASSIGN_OR_RETURN(artifact.mapping, ArtifactMapping::Open(path));
+  const unsigned char* base = artifact.mapping->data();
+  const int64_t file_bytes = artifact.mapping->size();
+  if (file_bytes < static_cast<int64_t>(sizeof(Header))) {
+    return Status::DataLoss(path + ": artifact truncated in header (" +
+                            std::to_string(file_bytes) + " bytes, header is " +
+                            std::to_string(sizeof(Header)) + ")");
+  }
+  Header& h = artifact.header;
+  std::memcpy(&h, base, sizeof(h));
+  CSR_RETURN_IF_ERROR(ValidateHeader(h, path));
+
+  const SectionSizes sizes = SectionSizes::For(h.num_nodes, h.rank);
+  int64_t off = static_cast<int64_t>(sizeof(Header));
+  for (uint32_t i = 0; i < kSectionCount; ++i) {
+    const uint32_t id = kSectionOrder[i];
+    const std::string name = SectionName(id);
+    if (off + static_cast<int64_t>(sizeof(SectionHeader)) > file_bytes) {
+      return Status::DataLoss(path + ": artifact truncated in section " +
+                              name + " descriptor");
+    }
+    SectionHeader sh;
+    std::memcpy(&sh, base + off, sizeof(sh));
+    CSR_RETURN_IF_ERROR(ValidateDescriptor(sh, id, sizes.bytes[i], path));
+    off += static_cast<int64_t>(sizeof(sh));
+    const int64_t pad = SectionPadBytes(h.version, off);
+    if (off + pad + sizes.bytes[i] > file_bytes) {
+      return Status::DataLoss(path + ": artifact truncated in section " +
+                              name);
+    }
+    for (int64_t b = 0; b < pad; ++b) {
+      if (base[off + b] != 0) {
         return Status::DataLoss(path + ": non-zero alignment padding before "
                                 "section " + name);
       }
     }
-  }
-  CSR_RETURN_IF_ERROR(ReadExact(f, out, static_cast<std::size_t>(expected_bytes),
-                                path, "section " + name));
-  const uint64_t checksum =
-      FnvHash(kFnvOffsetBasis, out, static_cast<std::size_t>(expected_bytes));
-  if (checksum != sh.payload_checksum) {
-    return Status::DataLoss(path + ": checksum mismatch in section " + name);
-  }
-  return Status::OK();
-}
-
-// Consumes the optional version trailer at the current stream position
-// (directly after section Z) and verifies nothing follows it. Returns the
-// builder version the trailer records, or 0 when the artifact predates the
-// trailer (EOF right where it would start). Any other trailing shape is
-// corruption.
-Result<uint64_t> ReadTrailerAndExpectEof(std::FILE* f,
-                                         const std::string& path) {
-  Trailer t;
-  const std::size_t got = std::fread(&t, 1, sizeof(t), f);
-  if (got == 0) return uint64_t{0};  // legacy artifact: no trailer
-  if (got != sizeof(t) || std::fgetc(f) != EOF) {
-    return Status::DataLoss(path + ": trailing bytes after final section");
-  }
-  if (t.magic != kTrailerMagic) {
-    return Status::DataLoss(
-        path + ": trailing bytes after final section (not a version trailer)");
-  }
-  const uint64_t expected =
-      FnvHash(kFnvOffsetBasis, &t, kTrailerChecksummedBytes);
-  if (t.reserved != 0 || t.trailer_checksum != expected) {
-    return Status::DataLoss(path + ": version trailer corrupted");
-  }
-  return t.builder_version;
-}
-
-// Validates an in-memory trailer image (mapped path); same rules as above.
-Status ValidateTrailer(const Trailer& t, const std::string& path) {
-  if (t.magic != kTrailerMagic) {
-    return Status::DataLoss(
-        path + ": trailing bytes after final section (not a version trailer)");
-  }
-  const uint64_t expected =
-      FnvHash(kFnvOffsetBasis, &t, kTrailerChecksummedBytes);
-  if (t.reserved != 0 || t.trailer_checksum != expected) {
-    return Status::DataLoss(path + ": version trailer corrupted");
-  }
-  return Status::OK();
-}
-
-// Total bytes of header + all five sections (descriptors, v2 padding and
-// payloads) for a version-`version` (n, r) artifact; the version trailer,
-// when present, begins exactly here.
-int64_t SectionsEndOffset(uint32_t version, Index n, Index r) {
-  const SectionSizes sizes = SectionSizes::For(n, r);
-  int64_t off = static_cast<int64_t>(sizeof(Header));
-  for (uint32_t i = 0; i < kSectionCount; ++i) {
-    off += static_cast<int64_t>(sizeof(SectionHeader));
-    off += SectionPadBytes(version, off);
+    off += pad;
+    artifact.sections.push_back(ArtifactMapping::Section{
+        name, off, sizes.bytes[i], sh.payload_checksum});
     off += sizes.bytes[i];
   }
-  return off;
+
+  // Trailer: EOF directly after Z is a legacy artifact; otherwise exactly
+  // one valid 32-byte trailer must close the file.
+  const int64_t trailing = file_bytes - off;
+  if (trailing == 0) return artifact;
+  if (trailing != static_cast<int64_t>(sizeof(Trailer))) {
+    return Status::DataLoss(path + ": trailing bytes after final section");
+  }
+  Trailer t;
+  std::memcpy(&t, base + off, sizeof(t));
+  if (t.magic != kTrailerMagic) {
+    return Status::DataLoss(
+        path + ": trailing bytes after final section (not a version trailer)");
+  }
+  if (t.reserved != 0 ||
+      t.trailer_checksum !=
+          FnvHash(kFnvOffsetBasis, &t, kTrailerChecksummedBytes)) {
+    return Status::DataLoss(path + ": version trailer corrupted");
+  }
+  artifact.builder_version = t.builder_version;
+  return artifact;
+}
+
+Status ChecksumMismatch(const std::string& path,
+                        const ArtifactMapping::Section& s) {
+  return Status::DataLoss(path + ": checksum mismatch in section " + s.name);
+}
+
+// Heap mode: reads one section's payload into an owning matrix and checks
+// its checksum. pread, not a copy out of the mapping: page-cache pages read
+// that way never count toward this process's RSS, so a heap load peaks at
+// its heap copy alone.
+Result<DenseMatrix> ReadVerified(const ArtifactMapping& mapping,
+                                 const ArtifactMapping::Section& s, Index rows,
+                                 Index cols) {
+  DenseMatrix m(rows, cols);
+  CSR_RETURN_IF_ERROR(mapping.ReadAt(s.offset, s.bytes, m.data()));
+  if (FnvHash(kFnvOffsetBasis, m.data(), static_cast<std::size_t>(s.bytes)) !=
+      s.checksum) {
+    return ChecksumMismatch(mapping.path(), s);
+  }
+  return m;
 }
 
 }  // namespace
 
 Result<ArtifactInfo> ReadArtifactInfo(const std::string& path) {
-  CSR_ASSIGN_OR_RETURN(auto opened, OpenAndValidateHeader(path));
-  const Header& h = opened.second;
+  CSR_ASSIGN_OR_RETURN(const Artifact artifact, OpenArtifact(path));
+  const Header& h = artifact.header;
   ArtifactInfo info;
   info.version = h.version;
   info.rank = h.rank;
@@ -375,23 +348,8 @@ Result<ArtifactInfo> ReadArtifactInfo(const std::string& path) {
   info.damping = h.damping;
   info.epsilon = h.epsilon;
   info.fingerprint = HeaderFingerprint(h);
-  info.file_bytes = FileSize(opened.first.get());
-  // Recover the builder version when the file is exactly sections + trailer
-  // sized. Info reads stay lenient: a malformed trailer reports builder 0
-  // here and is rejected by the full loader.
-  const int64_t sections_end = SectionsEndOffset(h.version, h.num_nodes, h.rank);
-  if (info.file_bytes ==
-      sections_end + static_cast<int64_t>(sizeof(Trailer))) {
-    std::FILE* f = opened.first.get();
-    Trailer t;
-    if (std::fseek(f, static_cast<long>(sections_end), SEEK_SET) == 0 &&
-        std::fread(&t, 1, sizeof(t), f) == sizeof(t) &&
-        t.magic == kTrailerMagic && t.reserved == 0 &&
-        t.trailer_checksum ==
-            FnvHash(kFnvOffsetBasis, &t, kTrailerChecksummedBytes)) {
-      info.builder_version = t.builder_version;
-    }
-  }
+  info.file_bytes = artifact.mapping->size();
+  info.builder_version = artifact.builder_version;
   return info;
 }
 
@@ -404,184 +362,6 @@ const char* LoadModeName(LoadMode mode) {
   return mode == LoadMode::kMapped ? "mmap" : "heap";
 }
 
-Result<CsrPlusEngine> CsrPlusEngine::LoadPrecomputeHeap(
-    const std::string& path, const LoadOptions& options) {
-  CSR_ASSIGN_OR_RETURN(auto opened,
-                       precompute_io::OpenAndValidateHeader(path));
-  std::FILE* f = opened.first.get();
-  const auto& h = opened.second;
-  const Index n = h.num_nodes;
-  const Index r = h.rank;
-
-  const GraphFingerprint stored = precompute_io::HeaderFingerprint(h);
-  CSR_RETURN_IF_ERROR(precompute_io::CheckFingerprint(stored, options, path));
-
-  // Header fields are checksummed, range-checked and overflow-guarded, so
-  // the sizes below are trustworthy; charge them before allocating, exactly
-  // like the compute path does, so warm starts respect the same cap as cold
-  // starts.
-  CSR_RETURN_IF_ERROR(MemoryBudget::Global().TryReserve(
-      precompute_io::EngineStateBytes(n, r), "CSR+ precompute state"));
-
-  CsrPlusEngine engine;
-  engine.u_ = DenseMatrix(n, r);
-  engine.sigma_.assign(static_cast<std::size_t>(r), 0.0);
-  engine.v_ = DenseMatrix(n, r);
-  engine.p_ = DenseMatrix(r, r);
-  engine.z_ = DenseMatrix(n, r);
-  CSR_RETURN_IF_ERROR(precompute_io::ReadSection(
-      f, h.version, precompute_io::kSectionU, engine.u_.data(),
-      engine.u_.PayloadBytes(), path));
-  CSR_RETURN_IF_ERROR(precompute_io::ReadSection(
-      f, h.version, precompute_io::kSectionSigma, engine.sigma_.data(),
-      static_cast<int64_t>(engine.sigma_.size() * sizeof(double)), path));
-  CSR_RETURN_IF_ERROR(precompute_io::ReadSection(
-      f, h.version, precompute_io::kSectionV, engine.v_.data(),
-      engine.v_.PayloadBytes(), path));
-  CSR_RETURN_IF_ERROR(precompute_io::ReadSection(
-      f, h.version, precompute_io::kSectionP, engine.p_.data(),
-      engine.p_.PayloadBytes(), path));
-  CSR_RETURN_IF_ERROR(precompute_io::ReadSection(
-      f, h.version, precompute_io::kSectionZ, engine.z_.data(),
-      engine.z_.PayloadBytes(), path));
-  {
-    auto builder = precompute_io::ReadTrailerAndExpectEof(f, path);
-    if (!builder.ok()) return builder.status();
-  }
-
-  engine.damping_ = h.damping;
-  engine.epsilon_ = h.epsilon;
-  engine.fingerprint_ = stored;
-  engine.stats_.state_bytes = engine.u_.AllocatedBytes() +
-                              engine.z_.AllocatedBytes() +
-                              engine.p_.AllocatedBytes();
-  return engine;
-}
-
-Result<CsrPlusEngine> CsrPlusEngine::LoadPrecomputeMapped(
-    const std::string& path, const LoadOptions& options) {
-  CSR_RETURN_IF_ERROR(precompute_io::RequireLittleEndian());
-  CSR_ASSIGN_OR_RETURN(std::shared_ptr<ArtifactMapping> mapping,
-                       ArtifactMapping::Open(path));
-  const unsigned char* base = mapping->data();
-  const int64_t file_bytes = mapping->size();
-  if (file_bytes < static_cast<int64_t>(sizeof(precompute_io::Header))) {
-    return Status::DataLoss(
-        path + ": artifact truncated in header (" +
-        std::to_string(file_bytes) + " bytes, header is " +
-        std::to_string(sizeof(precompute_io::Header)) + ")");
-  }
-  precompute_io::Header h;
-  std::memcpy(&h, base, sizeof(h));
-  CSR_RETURN_IF_ERROR(precompute_io::ValidateHeader(h, path));
-  const Index n = h.num_nodes;
-  const Index r = h.rank;
-
-  const GraphFingerprint stored = precompute_io::HeaderFingerprint(h);
-  CSR_RETURN_IF_ERROR(precompute_io::CheckFingerprint(stored, options, path));
-
-  // Mapped pages are page-cache-backed and reclaimable, so only the small
-  // heap copies (sigma) plus the caller's advisory resident estimate are
-  // charged — this is exactly what makes factors larger than RAM loadable.
-  CSR_RETURN_IF_ERROR(MemoryBudget::Global().TryReserve(
-      options.mapped_budget_bytes +
-          r * static_cast<int64_t>(sizeof(double)),
-      "CSR+ mapped precompute state"));
-
-  // Walk the section table: validate each descriptor and (v2) its zero
-  // padding, record payload extents, defer payload checksums.
-  const precompute_io::SectionSizes sizes =
-      precompute_io::SectionSizes::For(n, r);
-  int64_t payload_off[precompute_io::kSectionCount];
-  std::vector<ArtifactMapping::Section> lazy_sections;
-  int64_t off = static_cast<int64_t>(sizeof(precompute_io::Header));
-  for (uint32_t i = 0; i < precompute_io::kSectionCount; ++i) {
-    const uint32_t id = precompute_io::kSectionOrder[i];
-    const std::string name = precompute_io::SectionName(id);
-    if (off + static_cast<int64_t>(sizeof(precompute_io::SectionHeader)) >
-        file_bytes) {
-      return Status::DataLoss(path + ": artifact truncated in section " +
-                              name + " descriptor");
-    }
-    precompute_io::SectionHeader sh;
-    std::memcpy(&sh, base + off, sizeof(sh));
-    CSR_RETURN_IF_ERROR(
-        precompute_io::ValidateDescriptor(sh, id, sizes.bytes[i], path));
-    off += static_cast<int64_t>(sizeof(sh));
-    const int64_t pad = precompute_io::SectionPadBytes(h.version, off);
-    if (off + pad + sizes.bytes[i] > file_bytes) {
-      return Status::DataLoss(path + ": artifact truncated in section " +
-                              name);
-    }
-    for (int64_t b = 0; b < pad; ++b) {
-      if (base[off + b] != 0) {
-        return Status::DataLoss(path + ": non-zero alignment padding before "
-                                "section " + name);
-      }
-    }
-    payload_off[i] = off + pad;
-    if (id == precompute_io::kSectionSigma) {
-      // Small enough to verify (and copy) eagerly.
-      const uint64_t checksum =
-          FnvHash(kFnvOffsetBasis, base + payload_off[i],
-                  static_cast<std::size_t>(sizes.bytes[i]));
-      if (checksum != sh.payload_checksum) {
-        return Status::DataLoss(path + ": checksum mismatch in section " +
-                                name);
-      }
-    } else {
-      lazy_sections.push_back(ArtifactMapping::Section{
-          name, payload_off[i], sizes.bytes[i], sh.payload_checksum});
-    }
-    off = payload_off[i] + sizes.bytes[i];
-  }
-
-  // Trailer: EOF directly after Z is a legacy artifact; otherwise exactly
-  // one valid 32-byte trailer must close the file.
-  const int64_t trailing = file_bytes - off;
-  if (trailing != 0) {
-    if (trailing != static_cast<int64_t>(sizeof(precompute_io::Trailer))) {
-      return Status::DataLoss(path + ": trailing bytes after final section");
-    }
-    precompute_io::Trailer t;
-    std::memcpy(&t, base + off, sizeof(t));
-    CSR_RETURN_IF_ERROR(precompute_io::ValidateTrailer(t, path));
-  }
-
-  CsrPlusEngine engine;
-  const auto payload = [&](uint32_t i) {
-    return reinterpret_cast<const double*>(base + payload_off[i]);
-  };
-  engine.u_map_ = DenseMatrixView(payload(0), n, r);
-  engine.sigma_.assign(payload(1), payload(1) + r);
-  engine.v_map_ = DenseMatrixView(payload(2), n, r);
-  engine.p_map_ = DenseMatrixView(payload(3), r, r);
-  engine.z_map_ = DenseMatrixView(payload(4), n, r);
-
-  // Paging policy: queries gather arbitrary rows of U (MADV_RANDOM defeats
-  // useless readahead) but stream all of Z on every query column
-  // (MADV_WILLNEED pulls it in now). V and P stay on default readahead —
-  // persistence-only.
-  mapping->Advise(payload_off[0], sizes.bytes[0],
-                  ArtifactMapping::Advice::kRandom);
-  mapping->Advise(payload_off[4], sizes.bytes[4],
-                  ArtifactMapping::Advice::kWillNeed);
-
-  mapping->SetSections(std::move(lazy_sections));
-  if (options.background_verify) {
-    mapping->StartBackgroundVerify();
-  }
-  engine.mapping_ = std::move(mapping);
-  engine.damping_ = h.damping;
-  engine.epsilon_ = h.epsilon;
-  engine.fingerprint_ = stored;
-  // Mapped state is file-backed, not heap: report the payload footprint the
-  // mapping can fault in (U + Z + P, matching the heap path's definition).
-  engine.stats_.state_bytes =
-      sizes.bytes[0] + sizes.bytes[4] + sizes.bytes[3];
-  return engine;
-}
-
 Result<CsrPlusEngine> CsrPlusEngine::LoadPrecompute(
     const std::string& path, const LoadOptions& options) {
   CSRPLUS_OBS_SCOPED_US("csrplus.phase.artifact_load_us",
@@ -589,9 +369,95 @@ Result<CsrPlusEngine> CsrPlusEngine::LoadPrecompute(
   CSRPLUS_OBS_COUNTER_ADD("csrplus.artifact.loads", "calls",
                           "LoadPrecompute attempts (success or failure)", 1);
   CSRPLUS_TRACE_SPAN(span, obs::spans::kArtifactLoad);
-  auto result = options.mode == LoadMode::kMapped
-                    ? LoadPrecomputeMapped(path, options)
-                    : LoadPrecomputeHeap(path, options);
+  auto load = [&]() -> Result<CsrPlusEngine> {
+    CSR_ASSIGN_OR_RETURN(precompute_io::Artifact artifact,
+                         precompute_io::OpenArtifact(path));
+    std::shared_ptr<ArtifactMapping>& mapping = artifact.mapping;
+    const precompute_io::Header& h = artifact.header;
+    std::vector<ArtifactMapping::Section>& sections = artifact.sections;
+    const Index n = h.num_nodes;
+    const Index r = h.rank;
+    const bool mapped = options.mode == LoadMode::kMapped;
+
+    const GraphFingerprint stored = precompute_io::HeaderFingerprint(h);
+    CSR_RETURN_IF_ERROR(precompute_io::CheckFingerprint(stored, options, path));
+    // The walked header is checksummed, range-checked and overflow-guarded,
+    // so these sizes are trustworthy. A heap load charges the full state,
+    // exactly like the compute path, so warm and cold starts share one cap.
+    // Mapped pages are page-cache-backed and reclaimable, so a mapped load
+    // charges only its Sigma copy: that is what makes factors larger than
+    // RAM loadable.
+    const int64_t sigma_bytes = r * static_cast<int64_t>(sizeof(double));
+    CSR_RETURN_IF_ERROR(MemoryBudget::Global().TryReserve(
+        mapped ? sigma_bytes : precompute_io::EngineStateBytes(n, r),
+        mapped ? "CSR+ mapped precompute state" : "CSR+ precompute state"));
+
+    // Sigma is r doubles: verified and copied eagerly in both modes.
+    const ArtifactMapping::Section& sigma = sections[1];
+    const auto* sigma_data =
+        reinterpret_cast<const double*>(mapping->data() + sigma.offset);
+    if (FnvHash(kFnvOffsetBasis, sigma_data,
+                static_cast<std::size_t>(sigma.bytes)) != sigma.checksum) {
+      return precompute_io::ChecksumMismatch(path, sigma);
+    }
+
+    CsrPlusEngine engine;
+    engine.sigma_.assign(sigma_data, sigma_data + r);
+    engine.damping_ = h.damping;
+    engine.epsilon_ = h.epsilon;
+    engine.fingerprint_ = stored;
+    if (!mapped) {
+      // Every checksum verified before the engine exists; the mapping is
+      // dropped on return. The walk mapped the pages around every
+      // descriptor; release them first, so the load peaks at the heap
+      // copy alone.
+      mapping->Advise(0, mapping->size(), ArtifactMapping::Advice::kDontNeed);
+      CSR_ASSIGN_OR_RETURN(DenseMatrix u, precompute_io::ReadVerified(
+                                              *mapping, sections[0], n, r));
+      CSR_ASSIGN_OR_RETURN(DenseMatrix v, precompute_io::ReadVerified(
+                                              *mapping, sections[2], n, r));
+      CSR_ASSIGN_OR_RETURN(DenseMatrix p, precompute_io::ReadVerified(
+                                              *mapping, sections[3], r, r));
+      CSR_ASSIGN_OR_RETURN(DenseMatrix z, precompute_io::ReadVerified(
+                                              *mapping, sections[4], n, r));
+      engine.SetHeapFactors(std::move(u), std::move(z), std::move(p),
+                            std::move(v));
+      return engine;
+    }
+
+    CSRPLUS_OBS_COUNTER_ADD("csrplus.artifact.mmaps", "calls",
+                            "artifact files mapped for zero-copy serving", 1);
+    const auto view = [&](const ArtifactMapping::Section& s, Index rows) {
+      return DenseMatrixView(
+          reinterpret_cast<const double*>(mapping->data() + s.offset), rows,
+          r);
+    };
+    engine.u_ = view(sections[0], n);
+    engine.v_ = view(sections[2], n);
+    engine.p_ = view(sections[3], r);
+    engine.z_ = view(sections[4], n);
+    // Paging policy: queries gather arbitrary rows of U (MADV_RANDOM defeats
+    // useless readahead) but stream all of Z on every query column
+    // (MADV_WILLNEED pulls it in now). V and P stay on default readahead —
+    // persistence-only.
+    mapping->Advise(sections[0].offset, sections[0].bytes,
+                    ArtifactMapping::Advice::kRandom);
+    mapping->Advise(sections[4].offset, sections[4].bytes,
+                    ArtifactMapping::Advice::kWillNeed);
+    // Mapped state is file-backed, not heap: report the payload footprint
+    // the mapping can fault in (U + Z + P, the heap path's definition).
+    engine.stats_.state_bytes =
+        sections[0].bytes + sections[4].bytes + sections[3].bytes;
+    // U/V/P/Z checksums are deferred to the lazy pass (Sigma is done).
+    sections.erase(sections.begin() + 1);
+    mapping->SetSections(std::move(sections));
+    if (options.background_verify) mapping->StartBackgroundVerify();
+    auto store = std::make_shared<FactorStore>();
+    store->mapping = std::move(mapping);
+    engine.store_ = std::move(store);
+    return engine;
+  };
+  auto result = load();
   if (!result.ok()) {
     CSRPLUS_OBS_COUNTER_ADD("csrplus.artifact.load_failures", "calls",
                             "LoadPrecompute attempts that returned an error",
@@ -601,8 +467,8 @@ Result<CsrPlusEngine> CsrPlusEngine::LoadPrecompute(
 }
 
 Status CsrPlusEngine::VerifyMappedSections() const {
-  if (mapping_ == nullptr) return Status::OK();
-  return mapping_->Verify();
+  if (!is_mapped()) return Status::OK();
+  return store_->mapping->Verify();
 }
 
 Status CsrPlusEngine::SavePrecompute(const std::string& path) const {

@@ -131,8 +131,8 @@ inline int64_t EngineStateBytes(Index n, Index r) {
 }
 
 /// Decoded artifact header, for tooling ("csrplus artifact-info") and
-/// tests. Reading an info does full header validation (magic, version,
-/// ranges, header checksum) but does not touch section payloads.
+/// tests. Reading an info runs the loaders' structural walk (header,
+/// section descriptors, padding, trailer) but checks no payload checksum.
 struct ArtifactInfo {
   uint32_t version = 0;
   Index rank = 0;
@@ -147,7 +147,8 @@ struct ArtifactInfo {
   uint64_t builder_version = 0;
 };
 
-/// Validates and decodes the header of the artifact at `path`.
+/// Validates the structure of the artifact at `path` and decodes its
+/// header.
 Result<ArtifactInfo> ReadArtifactInfo(const std::string& path);
 
 }  // namespace csrplus::core::precompute_io

@@ -16,11 +16,14 @@
 // single output. axpy_row lanes each own one c[j]; dot_rows lanes each own
 // one y[i] and walk k sequentially via gathers. No FMA is ever emitted (the
 // ISA translation units are compiled with -ffp-contract=off and without
-// -mfma), so a*b+c rounds twice exactly like the scalar code. This is what
-// keeps the repo's bitwise determinism guarantees (same-fingerprint cache
-// hits, batched == unbatched service results, golden artifacts) valid on
-// every dispatch path — and it is enforced by tests/kernels_test.cc with a
-// 0-ULP budget for both double and float tables.
+// -mfma), so a*b+c rounds twice exactly like the scalar code. Every add and
+// multiply also pins its operand order (AddPinned/MulPinned in
+// kernels_isa.h), so when both operands are NaN every path returns the same
+// one, at every optimisation level. This is what keeps the repo's bitwise
+// determinism guarantees (same-fingerprint cache hits, batched == unbatched
+// service results, golden artifacts) valid on every dispatch path — and it
+// is enforced by tests/kernels_test.cc with a 0-ULP budget for both double
+// and float tables.
 //
 // Dispatch
 // --------

@@ -30,9 +30,9 @@ void AxpyRowF64(double* c, const double* b, double a, int64_t n) {
   for (; j + 4 <= n; j += 4) {
     const __m256d vb = _mm256_loadu_pd(b + j);
     const __m256d vc = _mm256_loadu_pd(c + j);
-    _mm256_storeu_pd(c + j, _mm256_add_pd(vc, _mm256_mul_pd(va, vb)));
+    _mm256_storeu_pd(c + j, AddPinned(MulPinned(va, vb), vc));
   }
-  for (; j < n; ++j) c[j] += a * b[j];
+  for (; j < n; ++j) c[j] = AddPinned(MulPinned(a, b[j]), c[j]);
 }
 
 void AxpyRowF32(float* c, const float* b, float a, int64_t n) {
@@ -41,27 +41,27 @@ void AxpyRowF32(float* c, const float* b, float a, int64_t n) {
   for (; j + 8 <= n; j += 8) {
     const __m256 vb = _mm256_loadu_ps(b + j);
     const __m256 vc = _mm256_loadu_ps(c + j);
-    _mm256_storeu_ps(c + j, _mm256_add_ps(vc, _mm256_mul_ps(va, vb)));
+    _mm256_storeu_ps(c + j, AddPinned(MulPinned(va, vb), vc));
   }
-  for (; j < n; ++j) c[j] += a * b[j];
+  for (; j < n; ++j) c[j] = AddPinned(MulPinned(a, b[j]), c[j]);
 }
 
 void ScaleF64(double* x, double a, int64_t n) {
   const __m256d va = _mm256_set1_pd(a);
   int64_t j = 0;
   for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(x + j, _mm256_mul_pd(_mm256_loadu_pd(x + j), va));
+    _mm256_storeu_pd(x + j, MulPinned(va, _mm256_loadu_pd(x + j)));
   }
-  for (; j < n; ++j) x[j] *= a;
+  for (; j < n; ++j) x[j] = MulPinned(a, x[j]);
 }
 
 void ScaleF32(float* x, float a, int64_t n) {
   const __m256 va = _mm256_set1_ps(a);
   int64_t j = 0;
   for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(x + j, _mm256_mul_ps(_mm256_loadu_ps(x + j), va));
+    _mm256_storeu_ps(x + j, MulPinned(va, _mm256_loadu_ps(x + j)));
   }
-  for (; j < n; ++j) x[j] *= a;
+  for (; j < n; ++j) x[j] = MulPinned(a, x[j]);
 }
 
 // Each gather lane walks one output row; k advances sequentially, so every
@@ -75,14 +75,16 @@ void DotRowsF64(const double* a, int64_t lda, const double* x, double* y,
     __m256d acc = _mm256_setzero_pd();
     for (int64_t p = 0; p < k; ++p) {
       const __m256d va = _mm256_i64gather_pd(base + p, vidx, 8);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(va, _mm256_set1_pd(x[p])));
+      acc = AddPinned(MulPinned(va, _mm256_set1_pd(x[p])), acc);
     }
     _mm256_storeu_pd(y + i, acc);
   }
   for (; i < rows; ++i) {
     const double* row = a + i * lda;
     double sum = 0.0;
-    for (int64_t p = 0; p < k; ++p) sum += row[p] * x[p];
+    for (int64_t p = 0; p < k; ++p) {
+      sum = AddPinned(MulPinned(row[p], x[p]), sum);
+    }
     y[i] = sum;
   }
 }
@@ -100,7 +102,7 @@ void DotRowsF32(const float* a, int64_t lda, const float* x, float* y,
       __m256 acc = _mm256_setzero_ps();
       for (int64_t p = 0; p < k; ++p) {
         const __m256 va = _mm256_i32gather_ps(base + p, vidx, 4);
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(va, _mm256_set1_ps(x[p])));
+        acc = AddPinned(MulPinned(va, _mm256_set1_ps(x[p])), acc);
       }
       _mm256_storeu_ps(y + i, acc);
     }
@@ -108,7 +110,9 @@ void DotRowsF32(const float* a, int64_t lda, const float* x, float* y,
   for (; i < rows; ++i) {
     const float* row = a + i * lda;
     float sum = 0.0f;
-    for (int64_t p = 0; p < k; ++p) sum += row[p] * x[p];
+    for (int64_t p = 0; p < k; ++p) {
+      sum = AddPinned(MulPinned(row[p], x[p]), sum);
+    }
     y[i] = sum;
   }
 }

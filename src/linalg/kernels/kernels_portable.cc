@@ -2,7 +2,9 @@
 //
 // These loops define the semantics every SIMD path must reproduce bitwise
 // (tests/kernels_test.cc enforces 0 ULP). Keep them boring: no manual
-// unrolling, no reassociation, no zero-skips — 0 * NaN must stay NaN.
+// unrolling, no reassociation, no zero-skips — 0 * NaN must stay NaN — and
+// every add/multiply through AddPinned/MulPinned, so the NaN a two-NaN
+// operation returns does not depend on the optimisation level.
 
 #include "linalg/kernels/kernels_isa.h"
 
@@ -14,12 +16,12 @@ namespace {
 
 template <typename T>
 void AxpyRow(T* c, const T* b, T a, int64_t n) {
-  for (int64_t j = 0; j < n; ++j) c[j] += a * b[j];
+  for (int64_t j = 0; j < n; ++j) c[j] = AddPinned(MulPinned(a, b[j]), c[j]);
 }
 
 template <typename T>
 void Scale(T* x, T a, int64_t n) {
-  for (int64_t j = 0; j < n; ++j) x[j] *= a;
+  for (int64_t j = 0; j < n; ++j) x[j] = MulPinned(a, x[j]);
 }
 
 template <typename T>
@@ -28,7 +30,9 @@ void DotRows(const T* a, int64_t lda, const T* x, T* y, int64_t rows,
   for (int64_t i = 0; i < rows; ++i) {
     const T* row = a + i * lda;
     T sum = T(0);
-    for (int64_t p = 0; p < k; ++p) sum += row[p] * x[p];
+    for (int64_t p = 0; p < k; ++p) {
+      sum = AddPinned(MulPinned(row[p], x[p]), sum);
+    }
     y[i] = sum;
   }
 }

@@ -372,7 +372,6 @@ QueryService::NextBatch() {
       // because Submit rejects any request with more than max_batch_queries
       // queries, so no single request can blow past the batch cap on its own.
       if (!batch.empty()) {
-        if (!options_.coalesce) break;
         // Batches are tier-homogeneous: one engine evaluates the union.
         if (front_tier != batch_tier) break;
         if (static_cast<int>(batch.size()) >= options_.max_batch_requests) {
@@ -441,22 +440,8 @@ Result<DenseMatrix> QueryService::EvaluateBatch(
     const core::QueryEngine* exact, const std::vector<Index>& union_queries,
     ServedTier tier) {
   const core::QueryEngine* engine = EngineFor(exact, tier);
-  const std::size_t slot = tier == ServedTier::kApproximate ? 1 : 0;
   cache::ColumnCache* cache = options_.cache;
   const uint64_t fp = cache != nullptr ? engine->StateFingerprint() : 0;
-  if (cache != nullptr && fp != served_fingerprint_[slot]) {
-    // The engine generation rotated (full rebuild, engine swap to a
-    // different graph, ...): the previous generation's columns can never hit
-    // again, so reclaim their bytes now instead of waiting for LRU pressure.
-    // (Incremental mutation keeps the fingerprint stable; its touched
-    // columns are evicted point-wise by PublishEngine instead.)
-    // Per-tier slots: the tiers have distinct fingerprints by construction,
-    // and alternating between them must not evict each other's columns.
-    if (served_fingerprint_[slot] != 0) {
-      cache->EvictEngine(served_fingerprint_[slot]);
-    }
-    served_fingerprint_[slot] = fp;
-  }
   if (cache == nullptr || fp == 0) {
     // Pass-through: no cache configured, or the engine cannot vouch for its
     // state (StateFingerprint contract) — identical to the pre-cache path.

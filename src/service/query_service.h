@@ -85,11 +85,10 @@ struct ServiceOptions {
   int max_queue_requests = 256;
   /// Cap on distinct queries merged into one micro-batch.
   Index max_batch_queries = 64;
-  /// Cap on requests coalesced into one micro-batch.
+  /// Cap on requests coalesced into one micro-batch. 1 runs every request
+  /// alone — the serialized A/B arm used by bench_service_throughput;
+  /// results are identical either way.
   int max_batch_requests = 16;
-  /// When false every request runs alone — the serialized A/B arm used by
-  /// bench_service_throughput; results are identical either way.
-  bool coalesce = true;
   /// Optional column cache consulted before every micro-batch evaluation:
   /// cached columns are scattered directly, only the miss set goes through
   /// the engine, and fresh columns are inserted on the way out. Results stay
@@ -282,8 +281,7 @@ class QueryService {
   /// Evaluates one micro-batch's union query set on `tier`'s engine (with
   /// `exact` the batch's pinned snapshot): straight through when uncached,
   /// else scatter cached columns / evaluate the miss set / insert fresh
-  /// columns. Dispatcher thread only (touches served_fingerprint_ without a
-  /// lock).
+  /// columns. Dispatcher thread only.
   Result<DenseMatrix> EvaluateBatch(const core::QueryEngine* exact,
                                     const std::vector<Index>& union_queries,
                                     ServedTier tier);
@@ -310,12 +308,6 @@ class QueryService {
   /// the counter leave the window it observed, no batch can still be using
   /// — or start using — the old snapshot.
   std::atomic<uint64_t> batch_epoch_{0};
-  /// Per-tier engine fingerprint the cache was last populated under (slot 0
-  /// exact, slot 1 approximate — tiers alternating must not evict each
-  /// other's generations). When a live fingerprint moves (e.g. a dynamic
-  /// engine absorbed an edge between batches), the dispatcher eagerly
-  /// evicts that stale generation's columns.
-  uint64_t served_fingerprint_[2] = {0, 0};
   /// Adaptive-controller state: currently shedding best-effort traffic to
   /// the approximate tier. Written by the dispatcher under mu_ (hysteresis:
   /// trips at shed_trigger_depth, clears at shed_resume_depth).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -331,6 +332,45 @@ TEST(DynamicEngineTest, RebuildTriggersAfterBudget) {
   // The 4th insertion beyond budget forces a fresh SVD.
   EXPECT_GE(dynamic->rebuild_count(), 2);
   EXPECT_LE(dynamic->updates_since_rebuild(), 3);
+}
+
+TEST(DynamicEngineTest, UpdatingACloneLeavesTheOriginalBitIdentical) {
+  // The serving layer publishes mutations by cloning the live engine and
+  // updating the clone; the clone shares the original's factor bytes, so
+  // any in-place write to them would change answers readers still see.
+  graph::Graph g = RandomGraph(30, 150, 43);
+  DynamicOptions options = DefaultOptions(6);
+  options.max_incremental_updates = 2;   // the third insert rebuilds
+  options.rebuild_touched_fraction = 1.0;
+  auto original = DynamicCsrPlusEngine::Build(g, options);
+  ASSERT_TRUE(original.ok());
+  std::vector<Index> all(static_cast<std::size_t>(g.num_nodes()));
+  std::iota(all.begin(), all.end(), Index{0});
+  auto before = original->MultiSourceQuery(all);
+  ASSERT_TRUE(before.ok());
+  const uint64_t fp = original->StateFingerprint();
+  const DenseMatrix live_u = original->engine().u().ToMatrix();
+  const DenseMatrix live_z = original->engine().z().ToMatrix();
+
+  DynamicCsrPlusEngine clone = *original;
+  const auto edges = AbsentEdges(g, 3);
+  ASSERT_EQ(edges.size(), 3u);
+  // Two incremental batches (Brand updates), then one that rebuilds.
+  for (const auto& [u, v] : edges) {
+    ASSERT_TRUE(ApplyOne(&clone, EdgeUpdate::Insert(u, v)).ok());
+    auto clone_answers = clone.MultiSourceQuery(all);
+    ASSERT_TRUE(clone_answers.ok());
+    EXPECT_FALSE(*clone_answers == *before) << "the clone never changed";
+
+    auto after = original->MultiSourceQuery(all);
+    ASSERT_TRUE(after.ok());
+    EXPECT_TRUE(*after == *before);
+    EXPECT_EQ(original->StateFingerprint(), fp);
+    EXPECT_TRUE(original->engine().u() == DenseMatrixView(live_u));
+    EXPECT_TRUE(original->engine().z() == DenseMatrixView(live_z));
+    EXPECT_EQ(original->touched_count(), 0);
+  }
+  EXPECT_EQ(clone.rebuild_count(), original->rebuild_count() + 1);
 }
 
 TEST(DynamicEngineTest, RejectsBadEdges) {

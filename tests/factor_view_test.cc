@@ -148,6 +148,31 @@ TEST_F(FactorViewEngineTest, MappedAccessorsAliasTheMapping) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(FactorViewEngineTest, CopiesShareHeapFactorStorage) {
+  if (!MemoryTrackingActive()) {
+    GTEST_SKIP() << "operator new hooks not linked";
+  }
+#if !defined(CSRPLUS_OBS_DISABLED)
+  obs::SetMetricsEnabled(false);
+#endif
+  const int64_t before = GetTrackedMemory().current_bytes;
+  ResetPeakTrackedBytes();
+  const core::CsrPlusEngine copy = *engine_;
+  const int64_t copied = GetTrackedMemory().peak_bytes - before;
+#if !defined(CSRPLUS_OBS_DISABLED)
+  obs::SetMetricsEnabled(true);
+#endif
+  // The copy holds its own Sigma (r doubles) and nothing else: P, the
+  // smallest factor, would already be r*r doubles.
+  EXPECT_LT(copied, engine_->p().PayloadBytes())
+      << "copying a heap-built engine copied factor bytes";
+  EXPECT_EQ(copy.u().data(), engine_->u().data());
+  EXPECT_EQ(copy.z().data(), engine_->z().data());
+  EXPECT_EQ(copy.p().data(), engine_->p().data());
+  EXPECT_EQ(copy.v().data(), engine_->v().data());
+  EXPECT_FALSE(copy.is_mapped());
+}
+
 TEST_F(FactorViewEngineTest, WarmSingleSourceQueryDoesNotAllocate) {
   if (!MemoryTrackingActive()) {
     GTEST_SKIP() << "operator new hooks not linked";

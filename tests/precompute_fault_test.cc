@@ -68,6 +68,24 @@ int64_t SectionsEnd() {
 
 int64_t FileBytes() { return SectionsEnd() + kTrailerBytes; }
 
+LoadOptions MappedNoBackgroundVerify() {
+  LoadOptions options;
+  options.mode = LoadMode::kMapped;
+  // Deterministic timing: checksums settle only on the explicit Verify
+  // call, so each test controls exactly when detection happens.
+  options.background_verify = false;
+  return options;
+}
+
+// What a mapped load reports for `path`: the load's own error, or, when the
+// load succeeds, the verdict of the lazy payload-checksum pass.
+Status MappedStatus(const std::string& path) {
+  auto mapped =
+      CsrPlusEngine::LoadPrecompute(path, MappedNoBackgroundVerify());
+  if (!mapped.ok()) return mapped.status();
+  return mapped->VerifyMappedSections();
+}
+
 class PrecomputeFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -122,8 +140,9 @@ class PrecomputeFaultTest : public ::testing::Test {
   }
 
   // Expects LoadPrecompute to fail with `code` and a message containing
-  // `needle`; ReadArtifactInfo must agree whenever the fault is in the
-  // header (both go through the same validation).
+  // `needle`. Both load modes share one parser, so a mapped load must report
+  // the identical status: at load time for structural faults, from
+  // VerifyMappedSections for the lazily checksummed U/V/P/Z payloads.
   void ExpectLoadFails(const std::string& path, StatusCode code,
                        const std::string& needle) {
     auto result = CsrPlusEngine::LoadPrecompute(path, LoadOptions{});
@@ -132,6 +151,9 @@ class PrecomputeFaultTest : public ::testing::Test {
     EXPECT_NE(result.status().message().find(needle), std::string::npos)
         << "status '" << result.status().ToString()
         << "' does not mention '" << needle << "'";
+    const Status mapped = MappedStatus(path);
+    EXPECT_EQ(mapped.code(), result.status().code()) << mapped.ToString();
+    EXPECT_EQ(mapped.message(), result.status().message());
   }
 
   std::filesystem::path dir_;
@@ -157,6 +179,9 @@ TEST_F(PrecomputeFaultTest, MissingFileIsIOError) {
                                     LoadOptions{});
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError());
+  const Status mapped = MappedStatus(Path("does_not_exist.cspc"));
+  EXPECT_TRUE(mapped.IsIOError());
+  EXPECT_EQ(mapped.message(), result.status().message());
 }
 
 TEST_F(PrecomputeFaultTest, ZeroLengthFileIsDataLoss) {
@@ -374,13 +399,25 @@ TEST_F(PrecomputeFaultTest, ReadArtifactInfoRejectsCorruptHeadersToo) {
 // and never crash the process.
 // ---------------------------------------------------------------------------
 
-LoadOptions MappedNoBackgroundVerify() {
-  LoadOptions options;
-  options.mode = LoadMode::kMapped;
-  // Deterministic timing: checksums settle only on the explicit Verify
-  // call, so each test controls exactly when detection happens.
-  options.background_verify = false;
-  return options;
+TEST_F(PrecomputeFaultTest, MappedPayloadFaultsNameTheSectionOnVerify) {
+  for (const SectionLayout& s : Layout()) {
+    const std::string path = CorruptAt(s.payload_offset + s.payload_bytes / 2,
+                                       std::string("lazy_") + s.name + ".cspc");
+    const std::string expected =
+        path + ": checksum mismatch in section " + s.name;
+    auto mapped =
+        CsrPlusEngine::LoadPrecompute(path, MappedNoBackgroundVerify());
+    if (std::string(s.name) == "Sigma") {
+      // Sigma is copied, so it is checked eagerly: the load itself fails.
+      ASSERT_FALSE(mapped.ok());
+      EXPECT_EQ(mapped.status().message(), expected);
+      continue;
+    }
+    ASSERT_TRUE(mapped.ok()) << s.name << ": " << mapped.status().ToString();
+    const Status verified = mapped->VerifyMappedSections();
+    EXPECT_TRUE(verified.IsDataLoss()) << verified.ToString();
+    EXPECT_EQ(verified.message(), expected);
+  }
 }
 
 TEST_F(PrecomputeFaultTest, MappedLoadDefersPayloadChecksumsToVerify) {
