@@ -294,7 +294,8 @@ void BM_QueryGemm(benchmark::State& state,
 template <typename T>
 void BM_QueryDotRows(benchmark::State& state,
                      const linalg::kernels::KernelTable<T>* kt) {
-  // The single-source path: every Z row dotted with one U query row.
+  // The MatVec row-dot kernel: every row of an n x r matrix dotted with
+  // one r-vector (the shape of one Z row-block against one U query row).
   const Index n = 1 << 16, r = 200;
   Rng rng(5);
   std::vector<T> z(static_cast<std::size_t>(n * r));

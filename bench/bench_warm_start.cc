@@ -32,13 +32,13 @@ using namespace csrplus::bench;
 
 struct ArmResult {
   double load_seconds = 0.0;         // LoadPrecompute wall time
-  double first_query_seconds = 0.0;  // first single-source query after load
-  double steady_qps = 0.0;           // single-source queries per second, warm
+  double first_query_seconds = 0.0;  // first one-source query after load
+  double steady_qps = 0.0;           // one-source queries per second, warm
 };
 
 /// One load-mode arm: load the artifact, answer a first query (for mmap this
 /// is what faults in the working set), then measure steady-state QPS over a
-/// fixed query budget with a reused output buffer.
+/// fixed budget of one-source MultiSourceQuery calls.
 Result<ArmResult> RunArm(const std::string& path, core::LoadMode mode,
                          Index n, int steady_queries) {
   ArmResult r;
@@ -52,9 +52,8 @@ Result<ArmResult> RunArm(const std::string& path, core::LoadMode mode,
                        core::CsrPlusEngine::LoadPrecompute(path, options));
   r.load_seconds = timer.ElapsedSeconds();
 
-  std::vector<double> column;
   timer.Restart();
-  CSR_RETURN_IF_ERROR(engine.SingleSourceQueryInto(0, &column));
+  CSR_RETURN_IF_ERROR(engine.MultiSourceQuery({0}).status());
   r.first_query_seconds = timer.ElapsedSeconds();
 
   // Settle the deferred checksums before the steady window so both arms
@@ -63,7 +62,7 @@ Result<ArmResult> RunArm(const std::string& path, core::LoadMode mode,
   timer.Restart();
   for (int q = 0; q < steady_queries; ++q) {
     CSR_RETURN_IF_ERROR(
-        engine.SingleSourceQueryInto(static_cast<Index>(q) % n, &column));
+        engine.MultiSourceQuery({static_cast<Index>(q) % n}).status());
   }
   r.steady_qps = static_cast<double>(steady_queries) / timer.ElapsedSeconds();
   return r;

@@ -80,15 +80,4 @@ Result<DenseMatrix> CoSimMateEngine::MultiSourceQuery(
   return out;
 }
 
-Status CoSimMateEngine::SingleSourceQueryInto(Index query,
-                                              std::vector<double>* out) const {
-  const Index n = s_.rows();
-  CSR_RETURN_IF_ERROR(core::ValidateQueries({query}, n));
-  out->resize(static_cast<std::size_t>(n));
-  for (Index i = 0; i < n; ++i) {
-    (*out)[static_cast<std::size_t>(i)] = s_(i, query);
-  }
-  return Status::OK();
-}
-
 }  // namespace csrplus::baselines

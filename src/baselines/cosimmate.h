@@ -53,8 +53,6 @@ class CoSimMateEngine : public core::QueryEngine {
 
   Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override;
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override;
   Index NumNodes() const override { return s_.rows(); }
   std::string_view Name() const override { return "CoSimMate"; }
 

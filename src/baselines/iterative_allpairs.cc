@@ -55,15 +55,4 @@ Result<DenseMatrix> IterativeAllPairsEngine::MultiSourceQuery(
   return out;
 }
 
-Status IterativeAllPairsEngine::SingleSourceQueryInto(
-    Index query, std::vector<double>* out) const {
-  const Index n = s_.rows();
-  CSR_RETURN_IF_ERROR(core::ValidateQueries({query}, n));
-  out->resize(static_cast<std::size_t>(n));
-  for (Index i = 0; i < n; ++i) {
-    (*out)[static_cast<std::size_t>(i)] = s_(i, query);
-  }
-  return Status::OK();
-}
-
 }  // namespace csrplus::baselines

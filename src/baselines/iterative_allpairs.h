@@ -43,10 +43,6 @@ class IterativeAllPairsEngine : public core::QueryEngine {
   Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override;
 
-  /// Copies column q of the precomputed S into `out`.
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override;
-
   /// The full similarity matrix.
   const DenseMatrix& similarity() const { return s_; }
 

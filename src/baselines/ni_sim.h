@@ -63,12 +63,6 @@ class NiSimEngine : public core::QueryEngine {
   Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override;
 
-  /// Single source as a one-column multi-source query.
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override {
-    return core::SingleSourceViaMultiSource(*this, query, out);
-  }
-
   Index num_nodes() const { return u_.rows(); }
   Index rank() const { return u_.cols(); }
 

@@ -53,10 +53,6 @@ class RlsEngine : public core::QueryEngine {
       const std::vector<Index>& queries) const override {
     return RlsMultiSource(*transition_, queries, options_);
   }
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override {
-    return core::SingleSourceViaMultiSource(*this, query, out);
-  }
   Index NumNodes() const override { return transition_->rows(); }
   std::string_view Name() const override { return "CSR-RLS"; }
 

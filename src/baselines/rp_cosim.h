@@ -80,10 +80,6 @@ class RpCosimEngine : public core::QueryEngine {
 
   Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override;
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override {
-    return core::SingleSourceViaMultiSource(*this, query, out);
-  }
   Index NumNodes() const override { return transition_->rows(); }
   std::string_view Name() const override { return "RP-CoSim"; }
 

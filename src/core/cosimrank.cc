@@ -66,18 +66,6 @@ void SingleSourceInto(const CsrMatrix& q_matrix, Index query, double damping,
 
 }  // namespace
 
-Status ReferenceEngine::SingleSourceQueryInto(Index query,
-                                              std::vector<double>* out) const {
-  CSR_RETURN_IF_ERROR(ValidateOptions(options_));
-  CSR_RETURN_IF_ERROR(ValidateQuery(*transition_, query));
-  const int iters = ResolveIterations(options_);
-  std::vector<std::vector<double>> buffers;
-  out->assign(static_cast<std::size_t>(transition_->rows()), 0.0);
-  SingleSourceInto(*transition_, query, options_.damping, iters, &buffers,
-                   out->data());
-  return Status::OK();
-}
-
 Result<DenseMatrix> ReferenceEngine::MultiSourceQuery(
     const std::vector<Index>& queries) const {
   CSR_RETURN_IF_ERROR(ValidateOptions(options_));

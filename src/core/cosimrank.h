@@ -62,8 +62,6 @@ class ReferenceEngine final : public QueryEngine {
 
   Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override;
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override;
   Index NumNodes() const override { return transition_->rows(); }
   std::string_view Name() const override { return "CoSimRank-exact"; }
 

@@ -1,10 +1,7 @@
 #include "core/csrplus_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <numeric>
-#include <tuple>
 #include <utility>
 
 #include "common/memory.h"
@@ -239,19 +236,7 @@ uint64_t CsrPlusEngine::StateFingerprint() const {
   // No graph fingerprint means the engine cannot tie its answers to a
   // specific input (PrecomputeFromPaperFactors path) — never cacheable.
   if (fingerprint_.empty()) return 0;
-  const Index r = rank();
-  const uint64_t damping_bits = std::bit_cast<uint64_t>(damping_);
-  const uint64_t epsilon_bits = std::bit_cast<uint64_t>(epsilon_);
-  uint64_t hash = precompute_io::kFnvOffsetBasis;
-  hash = precompute_io::FnvHash(hash, &fingerprint_.num_nodes,
-                                sizeof(fingerprint_.num_nodes));
-  hash = precompute_io::FnvHash(hash, &fingerprint_.nnz,
-                                sizeof(fingerprint_.nnz));
-  hash = precompute_io::FnvHash(hash, &fingerprint_.content_hash,
-                                sizeof(fingerprint_.content_hash));
-  hash = precompute_io::FnvHash(hash, &r, sizeof(r));
-  hash = precompute_io::FnvHash(hash, &damping_bits, sizeof(damping_bits));
-  hash = precompute_io::FnvHash(hash, &epsilon_bits, sizeof(epsilon_bits));
+  uint64_t hash = AnswerStateHash(fingerprint_, rank(), damping_, epsilon_);
   if (precision_ == Precision::kF32) {
     // The f32 tier answers differently, so it must never share cached
     // columns with its f64 twin. f64 fingerprints are unchanged from
@@ -334,9 +319,9 @@ DenseMatrix CsrPlusEngine::ScaledScoreBlockF32(
   DenseMatrix s(n, nq);
   const linalg::kernels::KernelTable<float>& kt = linalg::kernels::F32();
   // Row shards accumulate in float through the SIMD axpy (each element's
-  // products in ascending p — the same float sequence the f32 single-source
-  // dot computes, so single- and multi-source columns stay bit-identical),
-  // then widen with the damping multiply in double.
+  // products in ascending p — the same float sequence SinglePairQuery
+  // computes, so a pair score equals its column entry bit for bit), then
+  // widen with the damping multiply in double.
   ParallelFor(n, n * r * nq, [&](Index begin, Index end) {
     const std::size_t rows = static_cast<std::size_t>(end - begin);
     std::vector<float> acc(rows * static_cast<std::size_t>(nq), 0.0f);
@@ -353,64 +338,6 @@ DenseMatrix CsrPlusEngine::ScaledScoreBlockF32(
     }
   });
   return s;
-}
-
-Result<std::vector<double>> CsrPlusEngine::SingleSourceQuery(
-    Index query) const {
-  CSRPLUS_OBS_SCOPED_US("csrplus.phase.query_us",
-                        "top-level CSR+ query entry points (Alg. 1 line 7)");
-  std::vector<double> out;
-  CSR_RETURN_IF_ERROR(SingleSourceQueryInto(query, &out));
-  return out;
-}
-
-Status CsrPlusEngine::SingleSourceQueryInto(Index query,
-                                            std::vector<double>* out) const {
-  const Index n = num_nodes();
-  if (query < 0 || query >= n) {
-    return Status::InvalidArgument("query node out of range");
-  }
-  CSRPLUS_OBS_SCOPED_US(
-      "csrplus.query.latency_us",
-      "per-source query latency (may nest under batch entry points)");
-  CSRPLUS_OBS_COUNTER_ADD("csrplus.query.single_source", "calls",
-                          "single-source query columns computed", 1);
-  CSRPLUS_TRACE_SPAN(span, obs::spans::kQuery);
-  const Index r = rank();
-  out->resize(static_cast<std::size_t>(n));
-  double* data = out->data();
-  if (precision_ == Precision::kF32) {
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.kernel.f32_queries", "calls",
-                            "queries answered by the float32 serving tier",
-                            1);
-    const float* urow =
-        u32_.data() + static_cast<std::size_t>(query) * static_cast<std::size_t>(r);
-    const linalg::kernels::KernelTable<float>& kt = linalg::kernels::F32();
-    ParallelFor(n, n * r, [&](Index begin, Index end) {
-      std::vector<float> dots(static_cast<std::size_t>(end - begin));
-      kt.dot_rows(
-          z32_.data() + static_cast<std::size_t>(begin) * static_cast<std::size_t>(r),
-          r, urow, dots.data(), end - begin, r);
-      for (Index i = begin; i < end; ++i) {
-        data[i] = damping_ *
-                  static_cast<double>(dots[static_cast<std::size_t>(i - begin)]);
-      }
-    });
-    data[query] += 1.0;
-    return Status::OK();
-  }
-  const DenseMatrixView z_view = z();
-  const double* urow = u().RowPtr(query);
-  const linalg::kernels::KernelTable<double>& kt = linalg::kernels::F64();
-  // dot_rows leaves data[i] = <Z_i, U_q>; the scale pass applies the same
-  // damping_ * dot multiply the fused scalar loop used to (one rounding
-  // either way — bitwise unchanged).
-  ParallelFor(n, n * r, [&](Index begin, Index end) {
-    kt.dot_rows(z_view.RowPtr(begin), r, urow, data + begin, end - begin, r);
-    kt.scale(data + begin, damping_, end - begin);
-  });
-  data[query] += 1.0;
-  return Status::OK();
 }
 
 Result<double> CsrPlusEngine::SinglePairQuery(Index a, Index b) const {
@@ -438,127 +365,6 @@ Result<double> CsrPlusEngine::SinglePairQuery(Index a, Index b) const {
   double dot = 0.0;
   for (Index k = 0; k < r; ++k) dot += zrow[k] * urow[k];
   return damping_ * dot + (a == b ? 1.0 : 0.0);
-}
-
-Result<std::vector<std::vector<ScoredNode>>> CsrPlusEngine::TopKQuery(
-    const std::vector<Index>& queries, Index k, bool exclude_query,
-    const std::vector<Index>& exclude) const {
-  if (k < 0) {
-    return Status::InvalidArgument("k must be non-negative");
-  }
-  const Index n = num_nodes();
-  CSR_RETURN_IF_ERROR(ValidateQueries(queries, n));
-  CSRPLUS_OBS_SCOPED_US("csrplus.phase.query_us",
-                        "top-level CSR+ query entry points (Alg. 1 line 7)");
-  CSRPLUS_OBS_COUNTER_ADD("csrplus.query.sources", "nodes",
-                          "total query sources across all query calls",
-                          queries.size());
-  CSRPLUS_TRACE_SPAN_ARG(topk_span, obs::spans::kQuery, "num_queries",
-                         static_cast<int64_t>(queries.size()));
-  // Fan out over queries: each shard owns a contiguous slice of the query
-  // list and reuses one n-length column buffer across its queries. Output
-  // slots are disjoint, so the result is independent of scheduling.
-  std::vector<std::vector<ScoredNode>> out(queries.size());
-  const Index nq = static_cast<Index>(queries.size());
-  const int shards = ParallelShardCount(nq, nq * n * rank());
-  ParallelForShards(nq, shards, [&](int, Index begin, Index end) {
-    std::vector<double> column;
-    for (Index j = begin; j < end; ++j) {
-      const Index q = queries[static_cast<std::size_t>(j)];
-      CSR_CHECK_OK(SingleSourceQueryInto(q, &column));  // validated above
-      std::vector<Index> skip = exclude;
-      if (exclude_query) skip.push_back(q);
-      CSRPLUS_OBS_SCOPED_US(
-          "csrplus.query.topk_select_us",
-          "top-k selection per score column (sub-phase of query)");
-      CSRPLUS_TRACE_SPAN(select_span, obs::spans::kTopKSelect);
-      out[static_cast<std::size_t>(j)] = TopK(column, k, skip);
-    }
-  });
-  return out;
-}
-
-Result<std::vector<CsrPlusEngine::ScoredPair>> CsrPlusEngine::AllPairsTopK(
-    Index k) const {
-  if (k < 0) {
-    return Status::InvalidArgument("k must be non-negative");
-  }
-  const Index n = num_nodes();
-  CSRPLUS_OBS_SCOPED_US("csrplus.phase.query_us",
-                        "top-level CSR+ query entry points (Alg. 1 line 7)");
-  CSRPLUS_TRACE_SPAN_ARG(join_span, obs::spans::kQuery, "n", n);
-  // Min-heap on score (worst pair at front) capped at k entries. Each shard
-  // owns a contiguous range of source rows, reuses one n-length column
-  // buffer across its sources (no per-source allocation), and keeps a
-  // private top-k heap; shard heaps are merged under the same strict total
-  // order afterwards, so the result equals the serial scan for any thread
-  // count.
-  const auto better = [](const ScoredPair& x, const ScoredPair& y) {
-    if (x.score != y.score) return x.score > y.score;
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  };
-  const int shards = ParallelShardCount(n, n * n);
-  std::vector<std::vector<ScoredPair>> shard_heaps(
-      static_cast<std::size_t>(shards));
-  ParallelForShards(n, shards, [&](int s, Index begin, Index end) {
-    std::vector<ScoredPair>& heap = shard_heaps[static_cast<std::size_t>(s)];
-    heap.reserve(static_cast<std::size_t>(k));
-    std::vector<double> column;
-    for (Index a = begin; a < end; ++a) {
-      CSR_CHECK_OK(SingleSourceQueryInto(a, &column));
-      for (Index b = a + 1; b < n; ++b) {
-        const ScoredPair candidate{a, b, column[static_cast<std::size_t>(b)]};
-        if (static_cast<Index>(heap.size()) < k) {
-          heap.push_back(candidate);
-          std::push_heap(heap.begin(), heap.end(), better);
-        } else if (k > 0 && better(candidate, heap.front())) {
-          std::pop_heap(heap.begin(), heap.end(), better);
-          heap.back() = candidate;
-          std::push_heap(heap.begin(), heap.end(), better);
-        }
-      }
-    }
-  });
-  std::vector<ScoredPair> merged;
-  for (const auto& heap : shard_heaps) {
-    merged.insert(merged.end(), heap.begin(), heap.end());
-  }
-  std::sort(merged.begin(), merged.end(), better);
-  if (static_cast<Index>(merged.size()) > k) {
-    merged.resize(static_cast<std::size_t>(k));
-  }
-  return merged;
-}
-
-Result<DenseMatrix> CsrPlusEngine::AllPairs() const {
-  const Index n = num_nodes();
-  // f32 scratch: the r x n panel plus the n x n float accumulator.
-  const int64_t scratch_bytes =
-      precision_ == Precision::kF32
-          ? (rank() + n) * static_cast<int64_t>(n) *
-                static_cast<int64_t>(sizeof(float))
-          : 0;
-  CSR_RETURN_IF_ERROR(MemoryBudget::Global().TryReserve(
-      n * n * static_cast<int64_t>(sizeof(double)) + scratch_bytes,
-      "CSR+ all-pairs output"));
-  CSRPLUS_OBS_SCOPED_US("csrplus.phase.query_us",
-                        "top-level CSR+ query entry points (Alg. 1 line 7)");
-  CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kQuery, "n", n);
-  if (precision_ == Precision::kF32) {
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.kernel.f32_queries", "calls",
-                            "queries answered by the float32 serving tier",
-                            1);
-    std::vector<Index> all(static_cast<std::size_t>(n));
-    std::iota(all.begin(), all.end(), Index{0});
-    DenseMatrix s = ScaledScoreBlockF32(all);
-    for (Index i = 0; i < n; ++i) s(i, i) += 1.0;
-    return s;
-  }
-  DenseMatrix s = linalg::Gemm(z(), u(), linalg::Transpose::kNo,
-                               linalg::Transpose::kYes);
-  linalg::ScaleInPlace(damping_, &s);
-  for (Index i = 0; i < n; ++i) s(i, i) += 1.0;
-  return s;
 }
 
 }  // namespace csrplus::core

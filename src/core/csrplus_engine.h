@@ -28,7 +28,6 @@
 
 #include "common/status.h"
 #include "core/query_engine.h"
-#include "core/topk.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/sparse_matrix.h"
@@ -106,6 +105,12 @@ struct GraphFingerprint {
 /// row_ptr / col_index / values arrays). Deterministic across runs and
 /// thread counts; see precompute_io.h for the artifact that embeds it.
 GraphFingerprint FingerprintTransition(const CsrMatrix& transition);
+
+/// FNV-1a 64 over a graph fingerprint and the answer-relevant parameters
+/// (rank, damping, epsilon): the one recipe behind CsrPlusEngine's and
+/// DynamicCsrPlusEngine's StateFingerprint, so the two cannot drift apart.
+uint64_t AnswerStateHash(const GraphFingerprint& graph, Index rank,
+                         double damping, double epsilon);
 
 /// How LoadPrecompute materialises an artifact's factor sections.
 enum class LoadMode {
@@ -191,42 +196,8 @@ class CsrPlusEngine : public QueryEngine {
   Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override;
 
-  /// Single-source query: the column [S]_{*,q}.
-  Result<std::vector<double>> SingleSourceQuery(Index query) const;
-
-  /// As SingleSourceQuery but writes into a caller-owned vector (resized to
-  /// n), so loops issuing many single-source queries (TopKQuery,
-  /// AllPairsTopK) reuse one buffer instead of allocating an n-length column
-  /// per source.
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override;
-
   /// Single-pair score [S]_{a,b} in O(r) time from the memoised factors.
   Result<double> SinglePairQuery(Index a, Index b) const;
-
-  /// All-pairs S = I + c Z U^T (n x n dense; budget-guarded).
-  Result<DenseMatrix> AllPairs() const;
-
-  /// Top-k most similar nodes for each query, computed one score column at
-  /// a time so memory stays O(n + |Q| k) instead of O(n |Q|). Nodes listed
-  /// in `exclude` (plus each query itself when `exclude_query` is set) are
-  /// skipped. Result is one descending list per query, in query order.
-  Result<std::vector<std::vector<ScoredNode>>> TopKQuery(
-      const std::vector<Index>& queries, Index k, bool exclude_query = true,
-      const std::vector<Index>& exclude = {}) const;
-
-  /// Similarity join: the k most similar *pairs* (a < b) in the whole
-  /// graph, streamed one score column at a time (O(n) working memory plus
-  /// the k-entry heap; never materialises the n x n matrix).
-  struct ScoredPair {
-    Index a;
-    Index b;
-    double score;
-    bool operator==(const ScoredPair& other) const {
-      return a == other.a && b == other.b && score == other.score;
-    }
-  };
-  Result<std::vector<ScoredPair>> AllPairsTopK(Index k) const;
 
   /// Number of nodes n.
   Index num_nodes() const { return u_.rows(); }

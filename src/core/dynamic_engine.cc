@@ -1,7 +1,6 @@
 #include "core/dynamic_engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <deque>
 #include <utility>
 
@@ -54,10 +53,9 @@ bool SortedInsert(std::vector<int32_t>* list, int32_t value) {
   return true;
 }
 
-}  // namespace
-
-Result<DynamicCsrPlusEngine> DynamicCsrPlusEngine::Build(
-    const graph::Graph& g, const DynamicOptions& options) {
+// The one DynamicOptions check, run by both build entry points before any
+// work: the rebuild triggers plus the base CSR+ options against n.
+Status ValidateDynamicOptions(const DynamicOptions& options, Index num_nodes) {
   if (options.max_incremental_updates < 1) {
     return Status::InvalidArgument("max_incremental_updates must be >= 1");
   }
@@ -66,7 +64,14 @@ Result<DynamicCsrPlusEngine> DynamicCsrPlusEngine::Build(
     return Status::InvalidArgument(
         "rebuild_touched_fraction must be in (0, 1]");
   }
-  CSR_RETURN_IF_ERROR(ValidateCsrPlusOptions(options.base, g.num_nodes()));
+  return ValidateCsrPlusOptions(options.base, num_nodes);
+}
+
+}  // namespace
+
+Result<DynamicCsrPlusEngine> DynamicCsrPlusEngine::Build(
+    const graph::Graph& g, const DynamicOptions& options) {
+  CSR_RETURN_IF_ERROR(ValidateDynamicOptions(options, g.num_nodes()));
 
   DynamicCsrPlusEngine dynamic;
   dynamic.options_ = options;
@@ -85,18 +90,10 @@ Result<DynamicCsrPlusEngine> DynamicCsrPlusEngine::Build(
 
 Result<DynamicCsrPlusEngine> DynamicCsrPlusEngine::BuildFromTransition(
     const CsrMatrix& transition, const DynamicOptions& options) {
-  if (options.max_incremental_updates < 1) {
-    return Status::InvalidArgument("max_incremental_updates must be >= 1");
-  }
-  if (!(options.rebuild_touched_fraction > 0.0) ||
-      options.rebuild_touched_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "rebuild_touched_fraction must be in (0, 1]");
-  }
   if (transition.rows() != transition.cols()) {
     return Status::InvalidArgument("transition matrix must be square");
   }
-  CSR_RETURN_IF_ERROR(ValidateCsrPlusOptions(options.base, transition.rows()));
+  CSR_RETURN_IF_ERROR(ValidateDynamicOptions(options, transition.rows()));
 
   // Q[u][v] != 0 means u -> v is an edge (column v is 1/indeg(v) over the
   // in-neighbours of v); only the structure is needed — weights are
@@ -135,24 +132,10 @@ Result<DynamicCsrPlusEngine> DynamicCsrPlusEngine::FinishBuild(
   // The cacheable-state identity of the *initial* graph + parameters:
   // fingerprint the canonical Q^T (the same matrix the SVD consumes) and
   // mix in the answer-relevant options, matching CsrPlusEngine's scheme.
-  {
-    const CsrMatrix qt = BuildTransitionTranspose(dynamic.in_neighbors_);
-    const GraphFingerprint fp = FingerprintTransition(qt);
-    const Index r = dynamic.options_.base.rank;
-    const uint64_t damping_bits =
-        std::bit_cast<uint64_t>(dynamic.options_.base.damping);
-    const uint64_t epsilon_bits =
-        std::bit_cast<uint64_t>(dynamic.options_.base.epsilon);
-    uint64_t hash = precompute_io::kFnvOffsetBasis;
-    hash = precompute_io::FnvHash(hash, &fp.num_nodes, sizeof(fp.num_nodes));
-    hash = precompute_io::FnvHash(hash, &fp.nnz, sizeof(fp.nnz));
-    hash = precompute_io::FnvHash(hash, &fp.content_hash,
-                                  sizeof(fp.content_hash));
-    hash = precompute_io::FnvHash(hash, &r, sizeof(r));
-    hash = precompute_io::FnvHash(hash, &damping_bits, sizeof(damping_bits));
-    hash = precompute_io::FnvHash(hash, &epsilon_bits, sizeof(epsilon_bits));
-    dynamic.base_fingerprint_ = hash;
-  }
+  const CsrPlusOptions& base = dynamic.options_.base;
+  dynamic.base_fingerprint_ = AnswerStateHash(
+      FingerprintTransition(BuildTransitionTranspose(dynamic.in_neighbors_)),
+      base.rank, base.damping, base.epsilon);
   CSR_RETURN_IF_ERROR(dynamic.RebuildFromScratch());
   return dynamic;
 }
@@ -423,16 +406,6 @@ Result<DenseMatrix> DynamicCsrPlusEngine::MultiSourceQuery(
     }
   }
   return block;
-}
-
-Status DynamicCsrPlusEngine::SingleSourceQueryInto(
-    Index query, std::vector<double>* out) const {
-  if (query < 0 || query >= num_nodes()) {
-    return Status::InvalidArgument("query node out of range");
-  }
-  const CsrPlusEngine& source =
-      (touched_count_ != 0 && IsTouched(query)) ? *engine_ : *base_engine_;
-  return source.SingleSourceQueryInto(query, out);
 }
 
 }  // namespace csrplus::core

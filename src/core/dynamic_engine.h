@@ -158,8 +158,6 @@ class DynamicCsrPlusEngine : public QueryEngine {
   // columns from the live Brand-updated factors (see the header comment).
   Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override;
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override;
   Index NumNodes() const override { return num_nodes(); }
   std::string_view Name() const override { return "CSR+dyn"; }
 

@@ -552,4 +552,18 @@ GraphFingerprint FingerprintTransition(const CsrMatrix& transition) {
   return fp;
 }
 
+uint64_t AnswerStateHash(const GraphFingerprint& graph, Index rank,
+                         double damping, double epsilon) {
+  const uint64_t damping_bits = std::bit_cast<uint64_t>(damping);
+  const uint64_t epsilon_bits = std::bit_cast<uint64_t>(epsilon);
+  uint64_t hash = kFnvOffsetBasis;
+  hash = FnvHash(hash, &graph.num_nodes, sizeof(graph.num_nodes));
+  hash = FnvHash(hash, &graph.nnz, sizeof(graph.nnz));
+  hash = FnvHash(hash, &graph.content_hash, sizeof(graph.content_hash));
+  hash = FnvHash(hash, &rank, sizeof(rank));
+  hash = FnvHash(hash, &damping_bits, sizeof(damping_bits));
+  hash = FnvHash(hash, &epsilon_bits, sizeof(epsilon_bits));
+  return hash;
+}
+
 }  // namespace csrplus::core

@@ -30,16 +30,4 @@ Status ValidateQueries(const std::vector<Index>& queries, Index num_nodes,
   return Status::OK();
 }
 
-Status SingleSourceViaMultiSource(const QueryEngine& engine, Index query,
-                                  std::vector<double>* out) {
-  CSR_ASSIGN_OR_RETURN(DenseMatrix block,
-                       engine.MultiSourceQuery({query}));
-  const Index n = block.rows();
-  out->resize(static_cast<std::size_t>(n));
-  for (Index i = 0; i < n; ++i) {
-    (*out)[static_cast<std::size_t>(i)] = block(i, 0);
-  }
-  return Status::OK();
-}
-
 }  // namespace csrplus::core

@@ -76,12 +76,10 @@ class QueryEngine {
   /// in request order. Column j must depend only on queries[j], so a batch
   /// over a union of query sets is bit-identical to the per-request blocks
   /// (the property the service layer's micro-batching relies on).
+  /// This is the only query method: a single source is the one-wide
+  /// block MultiSourceQuery({q}).
   virtual Result<DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const = 0;
-
-  /// Single-source query written into a caller-owned buffer (resized to n).
-  virtual Status SingleSourceQueryInto(Index query,
-                                       std::vector<double>* out) const = 0;
 
   /// Number of nodes n this engine serves.
   virtual Index NumNodes() const = 0;
@@ -130,12 +128,6 @@ enum class QueryDuplicates {
 /// the service layer funnel through this instead of inlining their own copy.
 Status ValidateQueries(const std::vector<Index>& queries, Index num_nodes,
                        QueryDuplicates duplicates = QueryDuplicates::kAllow);
-
-/// Default SingleSourceQueryInto for engines whose natural unit of work is
-/// the multi-source block: runs MultiSourceQuery({query}) and copies the
-/// single column into `out`.
-Status SingleSourceViaMultiSource(const QueryEngine& engine, Index query,
-                                  std::vector<double>* out);
 
 }  // namespace csrplus::core
 

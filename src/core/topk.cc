@@ -16,7 +16,8 @@ std::vector<ScoredNode> TopKImpl(Index n, Index k, ScoreAt&& score_at,
                                  const std::vector<Index>& exclude) {
   std::unordered_set<Index> skip(exclude.begin(), exclude.end());
   std::vector<ScoredNode> heap;  // min-heap on Better (worst at front).
-  heap.reserve(static_cast<std::size_t>(std::max<Index>(k, 0)));
+  // k comes off the wire unchecked: never reserve more than n entries.
+  heap.reserve(static_cast<std::size_t>(std::clamp<Index>(k, 0, n)));
   const auto worse = [](const ScoredNode& a, const ScoredNode& b) {
     return Better(a, b);  // make_heap with Better puts the *worst* on top
   };

@@ -2,8 +2,8 @@
 //
 // The query phase of CSR+ is dominated by a handful of primitive loops: the
 // dense GEMM [S] = Z * [U]_{Q,*}^T, the SpMM inner rows, the per-row dot
-// products of single-source queries, and the strided scatter that copies a
-// cached column into a result block. This module provides those primitives
+// products of MatVec, and the strided scatter that copies a cached column
+// into a result block. This module provides those primitives
 // as per-ISA function tables (portable scalar, AVX2, AVX-512), selected once
 // at startup from CPUID and overridable with CSRPLUS_KERNEL_ISA for testing.
 //
@@ -84,7 +84,7 @@ struct KernelTable {
   /// x[j] *= a for j in [0, n).
   void (*scale)(T* x, T a, int64_t n);
   /// y[i] = sum_p a[i*lda + p] * x[p], p ascending, for i in [0, rows).
-  /// The single-source query / MatVec row-dot block.
+  /// The MatVec row-dot block.
   void (*dot_rows)(const T* a, int64_t lda, const T* x, T* y, int64_t rows,
                    int64_t k);
   /// dst[i*stride] = src[i] for i in [0, n). The cached-column scatter.

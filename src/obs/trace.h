@@ -38,7 +38,6 @@ inline constexpr const char kPrecompute[] = "precompute";
 inline constexpr const char kRepeatedSquaring[] = "repeated_squaring";
 inline constexpr const char kZMemoise[] = "z_memoise";
 inline constexpr const char kQuery[] = "query";
-inline constexpr const char kTopKSelect[] = "topk_select";
 inline constexpr const char kArtifactLoad[] = "artifact_load";
 inline constexpr const char kArtifactSave[] = "artifact_save";
 inline constexpr const char kPoolRegion[] = "pool_region";

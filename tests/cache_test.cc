@@ -396,8 +396,10 @@ TEST(ColumnCacheServiceTest, F32ColumnsAreNeverServedToF64Requests) {
 
   // Cache-level: a column inserted under the f32 generation hits only there.
   ColumnCache cache;
-  std::vector<double> column32, out;
-  ASSERT_TRUE(f32_engine->SingleSourceQueryInto(7, &column32).ok());
+  auto f32_column = csrplus::testing::QueryColumn(*f32_engine, 7);
+  ASSERT_TRUE(f32_column.ok());
+  const std::vector<double>& column32 = *f32_column;
+  std::vector<double> out;
   ASSERT_TRUE(cache.Insert(fp32, 7, column32.data(),
                            static_cast<Index>(column32.size())));
   EXPECT_FALSE(cache.Lookup(fp64, 7, &out))

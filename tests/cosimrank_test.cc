@@ -22,10 +22,7 @@ CsrMatrix Figure1Transition() {
 // functions are exercised exactly once, in DeprecatedWrappersTest below.
 Result<std::vector<double>> SingleSource(const CsrMatrix& q, Index node,
                                          const CoSimRankOptions& options) {
-  std::vector<double> out;
-  CSR_RETURN_IF_ERROR(
-      ReferenceEngine(&q, options).SingleSourceQueryInto(node, &out));
-  return out;
+  return csrplus::testing::QueryColumn(ReferenceEngine(&q, options), node);
 }
 
 Result<DenseMatrix> MultiSource(const CsrMatrix& q,

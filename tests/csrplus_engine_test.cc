@@ -89,18 +89,6 @@ TEST(CsrPlusEngineTest, FullRankMatchesExactCoSimRank) {
   EXPECT_TRUE(MatricesNear(*approx, *exact, 1e-6));
 }
 
-TEST(CsrPlusEngineTest, SingleSourceMatchesMultiSourceColumn) {
-  auto engine =
-      CsrPlusEngine::Precompute(RandomGraph(50, 300, 7), CsrPlusOptions{});
-  ASSERT_TRUE(engine.ok());
-  auto block = engine->MultiSourceQuery({11, 22});
-  auto column = engine->SingleSourceQuery(22);
-  ASSERT_TRUE(block.ok() && column.ok());
-  for (Index i = 0; i < 50; ++i) {
-    EXPECT_NEAR((*block)(i, 1), (*column)[static_cast<std::size_t>(i)], 1e-12);
-  }
-}
-
 TEST(CsrPlusEngineTest, SinglePairMatchesMatrixEntry) {
   auto engine =
       CsrPlusEngine::Precompute(RandomGraph(30, 150, 11), CsrPlusOptions{});
@@ -114,104 +102,12 @@ TEST(CsrPlusEngineTest, SinglePairMatchesMatrixEntry) {
   }
 }
 
-TEST(CsrPlusEngineTest, AllPairsMatchesQueryingEveryNode) {
-  auto engine =
-      CsrPlusEngine::Precompute(RandomGraph(25, 120, 13), CsrPlusOptions{});
-  ASSERT_TRUE(engine.ok());
-  auto all = engine->AllPairs();
-  ASSERT_TRUE(all.ok());
-  std::vector<Index> everything(25);
-  for (Index i = 0; i < 25; ++i) everything[static_cast<std::size_t>(i)] = i;
-  auto block = engine->MultiSourceQuery(everything);
-  ASSERT_TRUE(block.ok());
-  EXPECT_TRUE(MatricesNear(*all, *block, 1e-12));
-}
-
-TEST(CsrPlusEngineTest, TopKQueryMatchesFullColumn) {
-  auto engine =
-      CsrPlusEngine::Precompute(RandomGraph(60, 350, 31), CsrPlusOptions{});
-  ASSERT_TRUE(engine.ok());
-  std::vector<Index> queries = {5, 40};
-  auto topk = engine->TopKQuery(queries, 4);
-  ASSERT_TRUE(topk.ok());
-  ASSERT_EQ(topk->size(), 2u);
-  for (std::size_t j = 0; j < queries.size(); ++j) {
-    auto column = engine->SingleSourceQuery(queries[j]);
-    ASSERT_TRUE(column.ok());
-    auto expected = TopK(*column, 4, {queries[j]});
-    EXPECT_EQ((*topk)[j], expected);
-  }
-}
-
-TEST(CsrPlusEngineTest, TopKQueryCanIncludeTheQueryItself) {
-  auto engine =
-      CsrPlusEngine::Precompute(RandomGraph(30, 150, 37), CsrPlusOptions{});
-  ASSERT_TRUE(engine.ok());
-  auto topk = engine->TopKQuery({7}, 1, /*exclude_query=*/false);
-  ASSERT_TRUE(topk.ok());
-  // Self-similarity >= 1 dominates, so the query tops its own list.
-  EXPECT_EQ((*topk)[0][0].node, 7);
-}
-
-TEST(CsrPlusEngineTest, AllPairsTopKMatchesDenseScan) {
-  auto engine =
-      CsrPlusEngine::Precompute(RandomGraph(30, 160, 43), CsrPlusOptions{});
-  ASSERT_TRUE(engine.ok());
-  auto pairs = engine->AllPairsTopK(5);
-  ASSERT_TRUE(pairs.ok());
-  ASSERT_EQ(pairs->size(), 5u);
-
-  // Brute force from the dense matrix.
-  auto all = engine->AllPairs();
-  ASSERT_TRUE(all.ok());
-  std::vector<CsrPlusEngine::ScoredPair> brute;
-  for (Index a = 0; a < 30; ++a) {
-    for (Index b = a + 1; b < 30; ++b) {
-      brute.push_back({a, b, (*all)(a, b)});
-    }
-  }
-  std::sort(brute.begin(), brute.end(),
-            [](const auto& x, const auto& y) { return x.score > y.score; });
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ((*pairs)[i].a, brute[i].a) << i;
-    EXPECT_EQ((*pairs)[i].b, brute[i].b) << i;
-    EXPECT_NEAR((*pairs)[i].score, brute[i].score, 1e-12);
-  }
-}
-
-TEST(CsrPlusEngineTest, AllPairsTopKEdgeCases) {
-  auto engine =
-      CsrPlusEngine::Precompute(RandomGraph(8, 30, 47), CsrPlusOptions{});
-  ASSERT_TRUE(engine.ok());
-  auto empty = engine->AllPairsTopK(0);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-  EXPECT_TRUE(engine->AllPairsTopK(-1).status().IsInvalidArgument());
-  // k beyond the number of pairs returns all pairs, sorted.
-  auto all = engine->AllPairsTopK(1000);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 8u * 7u / 2u);
-  for (std::size_t i = 1; i < all->size(); ++i) {
-    EXPECT_GE((*all)[i - 1].score + 1e-15, (*all)[i].score);
-  }
-}
-
-TEST(CsrPlusEngineTest, TopKQueryValidation) {
-  auto engine =
-      CsrPlusEngine::Precompute(RandomGraph(10, 50, 41), CsrPlusOptions{});
-  ASSERT_TRUE(engine.ok());
-  EXPECT_TRUE(engine->TopKQuery({}, 3).status().IsInvalidArgument());
-  EXPECT_TRUE(engine->TopKQuery({1}, -1).status().IsInvalidArgument());
-  EXPECT_TRUE(engine->TopKQuery({99}, 3).status().IsInvalidArgument());
-}
-
 TEST(CsrPlusEngineTest, QueryValidation) {
   auto engine =
       CsrPlusEngine::Precompute(RandomGraph(10, 40, 17), CsrPlusOptions{});
   ASSERT_TRUE(engine.ok());
   EXPECT_TRUE(engine->MultiSourceQuery({}).status().IsInvalidArgument());
   EXPECT_TRUE(engine->MultiSourceQuery({10}).status().IsInvalidArgument());
-  EXPECT_TRUE(engine->SingleSourceQuery(-1).status().IsInvalidArgument());
   EXPECT_TRUE(engine->SinglePairQuery(0, 99).status().IsInvalidArgument());
 }
 
@@ -223,27 +119,6 @@ TEST(CsrPlusEngineTest, StatsArePopulated) {
   EXPECT_GT(stats.state_bytes, 0);
   EXPECT_EQ(stats.squaring_iterations, 6);  // max_k = 5 -> 6 loop trips
   EXPECT_GE(stats.svd_seconds, 0.0);
-}
-
-TEST(CsrPlusEngineTest, SingleSourceQueryIntoMatchesAndReusesBuffer) {
-  CsrPlusOptions options;
-  options.rank = 4;
-  auto engine = CsrPlusEngine::Precompute(RandomGraph(120, 700, 3), options);
-  ASSERT_TRUE(engine.ok());
-  std::vector<double> column;
-  for (Index q : {Index{0}, Index{17}, Index{119}}) {
-    ASSERT_TRUE(engine->SingleSourceQueryInto(q, &column).ok());
-    auto fresh = engine->SingleSourceQuery(q);
-    ASSERT_TRUE(fresh.ok());
-    EXPECT_EQ(column, *fresh) << "query " << q;
-  }
-  // Once sized, repeated queries must not reallocate the caller's buffer.
-  const double* data = column.data();
-  const std::size_t cap = column.capacity();
-  ASSERT_TRUE(engine->SingleSourceQueryInto(5, &column).ok());
-  EXPECT_EQ(column.data(), data);
-  EXPECT_EQ(column.capacity(), cap);
-  EXPECT_FALSE(engine->SingleSourceQueryInto(120, &column).ok());
 }
 
 TEST(CsrPlusEngineTest, MultiSourceQueryBudgetsTheTransientFactorCopy) {

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/cosimrank.h"
 #include "eval/metrics.h"
 #include "graph/normalize.h"
+#include "service/engine_registry.h"
 #include "test_util.h"
 
 namespace csrplus::core {
@@ -373,6 +375,41 @@ TEST(DynamicEngineTest, UpdatingACloneLeavesTheOriginalBitIdentical) {
   EXPECT_EQ(clone.rebuild_count(), original->rebuild_count() + 1);
 }
 
+TEST(DynamicEngineTest, EveryBuildPathRejectsBadRebuildTriggers) {
+  const graph::Graph g = Figure1Graph();
+  const CsrMatrix q = graph::ColumnNormalizedTransition(g);
+  DynamicOptions no_budget = DefaultOptions(3);
+  no_budget.max_incremental_updates = 0;
+  DynamicOptions bad_fraction = DefaultOptions(3);
+  bad_fraction.rebuild_touched_fraction = 1.5;
+  for (const auto& [options, field] :
+       {std::pair{no_budget, "max_incremental_updates"},
+        std::pair{bad_fraction, "rebuild_touched_fraction"}}) {
+    const Status from_graph = DynamicCsrPlusEngine::Build(g, options).status();
+    const Status from_transition =
+        DynamicCsrPlusEngine::BuildFromTransition(q, options).status();
+    for (const Status& status : {from_graph, from_transition}) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+      EXPECT_NE(status.ToString().find(field), std::string::npos)
+          << status.ToString();
+    }
+  }
+  // The registry's kDynamic path exposes the update budget (the touched
+  // fraction keeps its default there).
+  service::EngineConfig config;
+  config.rank = 3;
+  config.max_incremental_updates = 0;
+  const Status registry =
+      service::BuildEngine(service::EngineKind::kDynamic, q, config).status();
+  EXPECT_TRUE(registry.IsInvalidArgument()) << registry.ToString();
+  EXPECT_NE(registry.ToString().find("max_incremental_updates"),
+            std::string::npos)
+      << registry.ToString();
+  config.max_incremental_updates = 1;
+  EXPECT_TRUE(
+      service::BuildEngine(service::EngineKind::kDynamic, q, config).ok());
+}
+
 TEST(DynamicEngineTest, RejectsBadEdges) {
   auto dynamic = DynamicCsrPlusEngine::Build(Figure1Graph(), DefaultOptions(3));
   ASSERT_TRUE(dynamic.ok());
@@ -413,7 +450,7 @@ TEST(DynamicEngineTest, FirstInEdgeForIsolatedNode) {
   // Node 4 had no in-edges.
   ASSERT_TRUE(ApplyOne(&*dynamic, EdgeUpdate::Insert(0, 4)).ok());
   EXPECT_EQ(dynamic->num_edges(), 4);
-  auto scores = dynamic->engine().SingleSourceQuery(4);
+  auto scores = csrplus::testing::QueryColumn(dynamic->engine(), 4);
   ASSERT_TRUE(scores.ok());
   EXPECT_GE((*scores)[4], 1.0 - 1e-6);
 }
@@ -435,7 +472,7 @@ TEST(DynamicEngineTest, DeleteLastInEdgeZeroesColumn) {
   ASSERT_TRUE(receipt.ok());
   EXPECT_EQ(receipt->effective_count, 1);
   EXPECT_EQ(dynamic->num_edges(), 3);
-  auto scores = dynamic->engine().SingleSourceQuery(4);
+  auto scores = csrplus::testing::QueryColumn(dynamic->engine(), 4);
   ASSERT_TRUE(scores.ok());
   // Only the k = 0 term survives: s(4, 4) = 1, s(4, x) = 0 elsewhere.
   EXPECT_NEAR((*scores)[4], 1.0, 1e-6);

@@ -64,7 +64,7 @@ TEST_F(IntegrationTest, SnapFileToTopKAnswers) {
   }
   ASSERT_NE(b_compact, -1);
   ASSERT_NE(d_compact, -1);
-  auto top = engine->TopKQuery({b_compact}, 1);
+  auto top = csrplus::testing::TopKPerQuery(*engine, {b_compact}, 1);
   ASSERT_TRUE(top.ok());
   ASSERT_EQ((*top)[0].size(), 1u);
   EXPECT_EQ((*top)[0][0].node, d_compact);

@@ -62,10 +62,6 @@ class GatedEngine : public core::QueryEngine {
     while (gated_.load()) std::this_thread::yield();
     return inner_->MultiSourceQuery(queries);
   }
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override {
-    return inner_->SingleSourceQueryInto(query, out);
-  }
   Index NumNodes() const override { return inner_->NumNodes(); }
   std::string_view Name() const override { return inner_->Name(); }
   uint64_t StateFingerprint() const override {
@@ -597,6 +593,47 @@ TEST(NetServerTest, InvalidQueriesComeBackAsStatusFramesOnALiveStream) {
   ASSERT_TRUE(doomed_response.ok()) << doomed_response.status().ToString();
   EXPECT_TRUE(doomed_response->ok() ||
               doomed_response->ToStatus().IsDeadlineExceeded());
+
+  server.Shutdown();
+  service.Shutdown();
+}
+
+TEST(NetServerTest, HostileTopKGetsANormalReplyAndTheServerStaysUp) {
+  // top_k is an unchecked i32 on the wire. The top-k selection runs on the
+  // dispatcher thread, so sizing anything by it would take down every
+  // client of the server, not just this one.
+  auto engine = MakeEngine();
+  service::QueryService service(engine);
+  Server server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  WireRequest hostile;
+  hostile.queries = {3};
+  hostile.top_k = 0x7fffffff;
+  auto response = client->Call(hostile);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->ok()) << response->ToStatus().ToString();
+  ASSERT_EQ(response->topk.size(), 1u);
+  const auto expected = core::TopKOfColumn(*engine->MultiSourceQuery({3}), 0,
+                                           engine->NumNodes(), {Index{3}});
+  ASSERT_EQ(response->topk[0].size(), expected.size());
+  EXPECT_EQ(expected.size(), static_cast<std::size_t>(engine->NumNodes() - 1));
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(response->topk[0][i].node, expected[i].node);
+    EXPECT_EQ(response->topk[0][i].score, expected[i].score);
+  }
+
+  // The server answers the next request.
+  WireRequest next;
+  next.queries = {7};
+  auto next_response = client->Call(next);
+  ASSERT_TRUE(next_response.ok()) << next_response.status().ToString();
+  ASSERT_TRUE(next_response->ok()) << next_response->ToStatus().ToString();
+  auto direct = engine->MultiSourceQuery({7});
+  ASSERT_TRUE(direct.ok());
+  EXPECT_TRUE(next_response->scores == *direct);
 
   server.Shutdown();
   service.Shutdown();

@@ -485,10 +485,7 @@ TEST(ObsDocumentationTest, EveryEmittedMetricIsDocumented) {
                    .ok());
 
   ASSERT_TRUE(engine->MultiSourceQuery({0, 1}).ok());
-  ASSERT_TRUE(engine->SingleSourceQuery(0).ok());
   ASSERT_TRUE(engine->SinglePairQuery(0, 33).ok());
-  ASSERT_TRUE(engine->TopKQuery({0}, 5).ok());
-  ASSERT_TRUE(engine->AllPairs().ok());
 
   baselines::RlsOptions rls_options;
   ASSERT_TRUE(baselines::RlsMultiSource(graph::ColumnNormalizedTransition(g),
@@ -683,7 +680,7 @@ TEST(ObsDocumentationTest, EveryEmittedMetricIsDocumented) {
                            obs::spans::kFingerprint, obs::spans::kSvd,
                            obs::spans::kPrecompute,
                            obs::spans::kRepeatedSquaring, obs::spans::kZMemoise,
-                           obs::spans::kQuery, obs::spans::kTopKSelect,
+                           obs::spans::kQuery,
                            obs::spans::kArtifactLoad, obs::spans::kArtifactSave,
                            obs::spans::kPoolRegion, obs::spans::kBaseline,
                            obs::spans::kServiceRequest,

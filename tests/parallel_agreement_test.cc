@@ -61,57 +61,6 @@ TEST(ParallelAgreementTest, MultiSourceQueryAcrossThreadCounts) {
   SetNumThreads(1);
 }
 
-TEST(ParallelAgreementTest, AllPairsAcrossThreadCounts) {
-  const auto q = graph::ColumnNormalizedTransition(RandomGraph(400, 2400, 7));
-  core::CsrPlusOptions options;
-  options.rank = 6;
-  auto engine = core::CsrPlusEngine::PrecomputeFromTransition(q, options);
-  ASSERT_TRUE(engine.ok());
-  ScopedNumThreads reset(1);
-  auto s1 = engine->AllPairs();
-  ASSERT_TRUE(s1.ok());
-  for (int width : kWidths) {
-    SetNumThreads(width);
-    auto s = engine->AllPairs();
-    ASSERT_TRUE(s.ok());
-    EXPECT_TRUE(MatricesNear(*s, *s1, 1e-12)) << "width " << width;
-  }
-}
-
-TEST(ParallelAgreementTest, TopKAndAllPairsTopKAcrossThreadCounts) {
-  const auto q = graph::ColumnNormalizedTransition(RandomGraph(500, 3500, 21));
-  core::CsrPlusOptions options;
-  options.rank = 6;
-  auto engine = core::CsrPlusEngine::PrecomputeFromTransition(q, options);
-  ASSERT_TRUE(engine.ok());
-  std::vector<Index> queries;
-  for (Index i = 0; i < 40; ++i) queries.push_back(i * 12);
-  ScopedNumThreads reset(1);
-  auto topk1 = engine->TopKQuery(queries, 10);
-  auto pairs1 = engine->AllPairsTopK(25);
-  ASSERT_TRUE(topk1.ok() && pairs1.ok());
-  for (int width : kWidths) {
-    SetNumThreads(width);
-    auto topk = engine->TopKQuery(queries, 10);
-    auto pairs = engine->AllPairsTopK(25);
-    ASSERT_TRUE(topk.ok() && pairs.ok());
-    ASSERT_EQ(topk->size(), topk1->size());
-    for (std::size_t j = 0; j < topk->size(); ++j) {
-      ASSERT_EQ((*topk)[j].size(), (*topk1)[j].size()) << "width " << width;
-      for (std::size_t i = 0; i < (*topk)[j].size(); ++i) {
-        EXPECT_EQ((*topk)[j][i].node, (*topk1)[j][i].node);
-        EXPECT_NEAR((*topk)[j][i].score, (*topk1)[j][i].score, 1e-12);
-      }
-    }
-    ASSERT_EQ(pairs->size(), pairs1->size()) << "width " << width;
-    for (std::size_t i = 0; i < pairs->size(); ++i) {
-      EXPECT_EQ((*pairs)[i].a, (*pairs1)[i].a);
-      EXPECT_EQ((*pairs)[i].b, (*pairs1)[i].b);
-      EXPECT_NEAR((*pairs)[i].score, (*pairs1)[i].score, 1e-12);
-    }
-  }
-}
-
 TEST(ParallelAgreementTest, SvdFactorsAreIdenticalAcrossThreadCounts) {
   // Every kernel on the SVD path (per-row Gaussian streams, row-partitioned
   // SpMM/GEMM, column-partitioned transpose SpMM, serial reductions) is

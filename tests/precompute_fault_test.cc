@@ -447,10 +447,10 @@ TEST_F(PrecomputeFaultTest, UnlinkAfterMapKeepsServing) {
   // from under a serving process must not disturb it.
   ASSERT_TRUE(std::filesystem::remove(Path("unlink.cspc")));
   EXPECT_TRUE(mapped->VerifyMappedSections().ok());
-  std::vector<double> heap_col, mapped_col;
-  ASSERT_TRUE(heap->SingleSourceQueryInto(7, &heap_col).ok());
-  ASSERT_TRUE(mapped->SingleSourceQueryInto(7, &mapped_col).ok());
-  EXPECT_EQ(heap_col, mapped_col);
+  auto heap_col = csrplus::testing::QueryColumn(*heap, 7);
+  auto mapped_col = csrplus::testing::QueryColumn(*mapped, 7);
+  ASSERT_TRUE(heap_col.ok() && mapped_col.ok());
+  EXPECT_EQ(*heap_col, *mapped_col);
 }
 
 TEST_F(PrecomputeFaultTest, TruncationAfterMapIsDetectedWithoutACrash) {

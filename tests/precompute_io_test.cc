@@ -25,7 +25,9 @@
 namespace csrplus::core {
 namespace {
 
+using csrplus::testing::QueryColumn;
 using csrplus::testing::ScopedNumThreads;
+using csrplus::testing::TopKPerQuery;
 
 class PrecomputeIoTest : public ::testing::Test {
  protected:
@@ -78,11 +80,11 @@ void ExpectQueriesBitIdentical(const CsrPlusEngine& a, const CsrPlusEngine& b,
   ASSERT_TRUE(block_a.ok() && block_b.ok());
   EXPECT_TRUE(*block_a == *block_b);
 
-  std::vector<double> col_a, col_b;
   for (Index q : queries) {
-    ASSERT_TRUE(a.SingleSourceQueryInto(q, &col_a).ok());
-    ASSERT_TRUE(b.SingleSourceQueryInto(q, &col_b).ok());
-    EXPECT_EQ(col_a, col_b) << "query " << q;
+    auto col_a = QueryColumn(a, q);
+    auto col_b = QueryColumn(b, q);
+    ASSERT_TRUE(col_a.ok() && col_b.ok());
+    EXPECT_EQ(*col_a, *col_b) << "query " << q;
   }
 }
 
@@ -144,8 +146,8 @@ TEST_F(PrecomputeIoTest, ArtifactWrittenUnderTThreadsServesUnderOtherWidths) {
     ExpectEnginesBitIdentical(*writer, *served);
     // Same serving width for both engines: results must be bit-equal.
     ExpectQueriesBitIdentical(*writer, *served, queries);
-    auto topk_w = writer->TopKQuery(queries, 7);
-    auto topk_s = served->TopKQuery(queries, 7);
+    auto topk_w = TopKPerQuery(*writer, queries, 7);
+    auto topk_s = TopKPerQuery(*served, queries, 7);
     ASSERT_TRUE(topk_w.ok() && topk_s.ok());
     EXPECT_EQ(*topk_w, *topk_s);
     SetNumThreads(1);
@@ -297,7 +299,7 @@ TEST_F(PrecomputeIoTest, GoldenArtifactTopKMatchesRecordedValues) {
   };
 
   for (const Expected& e : expected) {
-    auto topk = engine->TopKQuery({e.query}, 5);
+    auto topk = TopKPerQuery(*engine, {e.query}, 5);
     ASSERT_TRUE(topk.ok());
     ASSERT_EQ((*topk)[0].size(), 5u);
     for (std::size_t i = 0; i < 5; ++i) {
@@ -322,8 +324,8 @@ TEST_F(PrecomputeIoTest, GoldenArtifactLoadModesAreBitIdentical) {
   ExpectEnginesBitIdentical(*heap, *mapped);
   const std::vector<Index> queries = {0, 17, 33};
   ExpectQueriesBitIdentical(*heap, *mapped, queries);
-  auto topk_heap = heap->TopKQuery(queries, 5);
-  auto topk_mapped = mapped->TopKQuery(queries, 5);
+  auto topk_heap = TopKPerQuery(*heap, queries, 5);
+  auto topk_mapped = TopKPerQuery(*mapped, queries, 5);
   ASSERT_TRUE(topk_heap.ok() && topk_mapped.ok());
   EXPECT_EQ(*topk_heap, *topk_mapped);
 }

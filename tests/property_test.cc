@@ -80,8 +80,9 @@ TEST_P(CoSimRankInvariants, DiagonalDominatesAndBoundsHold) {
 
   const core::ReferenceEngine engine(&q, options);
   for (Index query : {0, 31, 77}) {
-    std::vector<double> scores;
-    ASSERT_TRUE(engine.SingleSourceQueryInto(query, &scores).ok());
+    auto column = csrplus::testing::QueryColumn(engine, query);
+    ASSERT_TRUE(column.ok());
+    const std::vector<double>& scores = *column;
     const double self = scores[static_cast<std::size_t>(query)];
     EXPECT_GE(self, 1.0);
     // Geometric bound: [S]_{q,q} <= 1/(1-c) since <p,p> <= 1 per term.
@@ -166,9 +167,16 @@ TEST_P(CsrPlusSweep, SingleAndMultiSourceConsistent) {
   options.rank = rank;
   auto engine = core::CsrPlusEngine::Precompute(g, options);
   ASSERT_TRUE(engine.ok());
+  // The probe's column alone (a one-wide block) and as the first column of
+  // a num_queries-wide batch.
   const Index probe = 11;
-  auto column = engine->SingleSourceQuery(probe);
-  auto block = engine->MultiSourceQuery({probe});
+  std::vector<Index> batch = {probe};
+  for (std::size_t i = 1; i < num_queries; ++i) {
+    batch.push_back(static_cast<Index>((7 * i + 3) %
+                                       static_cast<std::size_t>(g.num_nodes())));
+  }
+  auto column = csrplus::testing::QueryColumn(*engine, probe);
+  auto block = engine->MultiSourceQuery(batch);
   ASSERT_TRUE(column.ok() && block.ok());
   for (Index i = 0; i < g.num_nodes(); ++i) {
     EXPECT_NEAR((*block)(i, 0), (*column)[static_cast<std::size_t>(i)], 1e-12);

@@ -84,18 +84,6 @@ TEST_P(QueryEngineConformanceTest, ColumnJDependsOnlyOnQueryJ) {
   }
 }
 
-TEST_P(QueryEngineConformanceTest, SingleSourceMatchesMultiSourceColumn) {
-  const Index q = 17;
-  std::vector<double> column;
-  ASSERT_TRUE(engine_->SingleSourceQueryInto(q, &column).ok());
-  ASSERT_EQ(column.size(), 60u);
-  auto block = engine_->MultiSourceQuery({q});
-  ASSERT_TRUE(block.ok());
-  for (Index i = 0; i < 60; ++i) {
-    EXPECT_EQ(column[static_cast<std::size_t>(i)], (*block)(i, 0));
-  }
-}
-
 TEST_P(QueryEngineConformanceTest, StateFingerprintIsStableAndShared) {
   // Stable across calls, and equal for a second engine built identically —
   // the property that lets a column cache survive an engine swap. Engines
@@ -113,8 +101,6 @@ TEST_P(QueryEngineConformanceTest, RejectsBadQuerySets) {
   EXPECT_TRUE(engine_->MultiSourceQuery({}).status().IsInvalidArgument());
   EXPECT_TRUE(engine_->MultiSourceQuery({-1}).status().IsInvalidArgument());
   EXPECT_TRUE(engine_->MultiSourceQuery({60}).status().IsInvalidArgument());
-  std::vector<double> column;
-  EXPECT_TRUE(engine_->SingleSourceQueryInto(-3, &column).IsInvalidArgument());
 }
 
 INSTANTIATE_TEST_SUITE_P(

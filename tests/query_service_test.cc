@@ -68,10 +68,6 @@ class GatedEngine : public core::QueryEngine {
     while (gated_.load()) std::this_thread::yield();
     return inner_->MultiSourceQuery(queries);
   }
-  Status SingleSourceQueryInto(Index query,
-                               std::vector<double>* out) const override {
-    return inner_->SingleSourceQueryInto(query, out);
-  }
   Index NumNodes() const override { return inner_->NumNodes(); }
   std::string_view Name() const override { return inner_->Name(); }
   uint64_t StateFingerprint() const override {

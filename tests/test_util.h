@@ -9,6 +9,8 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/query_engine.h"
+#include "core/topk.h"
 #include "graph/graph.h"
 #include "linalg/dense_matrix.h"
 #include "linalg/dense_ops.h"
@@ -136,6 +138,27 @@ inline ::testing::AssertionResult MatricesNear(linalg::DenseMatrixView a,
            << "max abs diff " << diff << " > " << tol;
   }
   return ::testing::AssertionSuccess();
+}
+
+/// The score column [S]_{*,q}: the one-wide block MultiSourceQuery({q}).
+inline Result<std::vector<double>> QueryColumn(const core::QueryEngine& engine,
+                                               Index q) {
+  CSR_ASSIGN_OR_RETURN(DenseMatrix block, engine.MultiSourceQuery({q}));
+  return block.Column(0);
+}
+
+/// Per-query top-k lists, each query excluded from its own list: the
+/// service's top-k body, computed from one MultiSourceQuery block.
+inline Result<std::vector<std::vector<core::ScoredNode>>> TopKPerQuery(
+    const core::QueryEngine& engine, const std::vector<Index>& queries,
+    Index k) {
+  CSR_ASSIGN_OR_RETURN(DenseMatrix block, engine.MultiSourceQuery(queries));
+  std::vector<std::vector<core::ScoredNode>> out;
+  for (std::size_t j = 0; j < queries.size(); ++j) {
+    out.push_back(
+        core::TopKOfColumn(block, static_cast<Index>(j), k, {queries[j]}));
+  }
+  return out;
 }
 
 }  // namespace csrplus::testing

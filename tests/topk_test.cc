@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "test_util.h"
 
 namespace csrplus::core {
@@ -23,6 +26,19 @@ TEST(TopKTest, KLargerThanInputReturnsAllSorted) {
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].node, 0);
   EXPECT_EQ(top[2].node, 1);
+}
+
+TEST(TopKTest, HostileKReturnsAllNodesWithoutReservingK) {
+  // k arrives unchecked from the wire; INT32_MAX must not size the heap.
+  std::vector<double> scores(100);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    scores[i] = static_cast<double>((i * 37) % 100);
+  }
+  const auto top = TopK(scores, std::numeric_limits<int32_t>::max());
+  ASSERT_EQ(top.size(), 100u);
+  for (std::size_t i = 1; i < top.size(); ++i) {
+    EXPECT_GT(top[i - 1].score, top[i].score);
+  }
 }
 
 TEST(TopKTest, KZeroReturnsEmpty) {
