@@ -7,26 +7,23 @@
 //
 //   arm 1 (unloaded)  sequential exact requests        -> baseline p99
 //   arm 2 (capacity)  saturated closed-loop exact load -> exact capacity QPS
-//   arm 3 (overload)  open-loop best-effort arrivals at
-//                     COSIM_DEGRADATION_OVERLOAD x capacity -> p99, tier mix
+//   arm 3 (overload)  open-loop best-effort arrivals at 10x capacity
+//                                                      -> p99, tier mix
 //
-// Gate (enforced when COSIM_DEGRADATION_ENFORCE=1, the CI smoke mode):
+// Knob (env): COSIM_DEGRADATION_N (nodes).
+// Gate (--enforce=1):
 //   * overload p99 <= 3x unloaded exact p99
 //   * zero admission rejections (the approximate tier has headroom, so the
 //     bounded queue must never fill)
-//
-// Knobs (env): COSIM_DEGRADATION_N (nodes), COSIM_DEGRADATION_Q (queries
-// per request), COSIM_DEGRADATION_REQUESTS (open-loop arrivals),
-// COSIM_DEGRADATION_OVERLOAD (arrival-rate multiplier),
-// COSIM_DEGRADATION_SHED_DEPTH (controller trigger),
-// COSIM_DEGRADATION_APPROX_SAMPLES / _APPROX_ITERS (RP-CoSim sketch).
+//   * the controller actually sheds: some answers come from the
+//     approximate tier
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/rp_cosim.h"
@@ -41,74 +38,32 @@ namespace {
 using namespace csrplus;
 using namespace csrplus::bench;
 
-uint64_t Percentile(std::vector<uint64_t>* latencies, double p) {
-  if (latencies->empty()) return 0;
-  std::sort(latencies->begin(), latencies->end());
-  return (*latencies)[static_cast<std::size_t>(
-      p * static_cast<double>(latencies->size() - 1))];
-}
+constexpr Index kQuerySize = 4;
+constexpr int kOverloadRequests = 400;  // open-loop arrivals
+constexpr double kOverload = 10.0;      // arrival rate / exact capacity
+constexpr int kShedDepth = 4;           // controller trigger
+// RP-CoSim sketch, deliberately tiny (see main).
+constexpr int kApproxIterations = 1;
+constexpr Index kApproxSamples = 2;
 
-service::QueryRequest MakeRequest(Rng* rng, Index qsize, Index hot_set,
+service::QueryRequest MakeRequest(Rng& rng, Index hot_set,
                                   service::QualityClass quality) {
-  service::QueryRequest request;
+  service::QueryRequest request = DistinctRequest(kQuerySize, [&] {
+    return static_cast<Index>(rng.Below(static_cast<uint64_t>(hot_set)));
+  });
   request.quality = quality;
-  while (static_cast<Index>(request.queries.size()) < qsize) {
-    const Index q =
-        static_cast<Index>(rng->Below(static_cast<uint64_t>(hot_set)));
-    if (std::find(request.queries.begin(), request.queries.end(), q) ==
-        request.queries.end()) {
-      request.queries.push_back(q);
-    }
-  }
   return request;
 }
 
-struct ClosedLoopResult {
-  double qps = 0.0;
-  int ok = 0;
-  uint64_t p50_us = 0, p99_us = 0;
-};
-
-// Closed-loop arm: `num_clients` threads each issue `requests_per_client`
-// requests back to back. One client measures the unloaded baseline; many
+// Closed-loop exact arm: one client measures the unloaded baseline; many
 // clients saturate the dispatcher and measure exact capacity.
-ClosedLoopResult RunClosedLoop(service::QueryService* service, int num_clients,
-                               int requests_per_client, Index qsize,
-                               Index hot_set) {
-  std::atomic<int> ok{0};
-  std::vector<std::vector<uint64_t>> latencies(
-      static_cast<std::size_t>(num_clients));
-  WallTimer timer;
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<std::size_t>(num_clients));
-  for (int c = 0; c < num_clients; ++c) {
-    clients.emplace_back([&, c] {
-      Rng rng(0xDE6ull + static_cast<uint64_t>(c) * 7919);
-      auto& mine = latencies[static_cast<std::size_t>(c)];
-      for (int r = 0; r < requests_per_client; ++r) {
-        service::QueryResponse response = service->Query(
-            MakeRequest(&rng, qsize, hot_set,
-                        service::QualityClass::kExact));
-        if (response.status.ok()) {
-          ++ok;
-          mine.push_back(response.total_micros);
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-
-  ClosedLoopResult result;
-  const double seconds = timer.ElapsedSeconds();
-  result.ok = ok.load();
-  result.qps = seconds > 0.0 ? result.ok / seconds : 0.0;
-  std::vector<uint64_t> all;
-  for (const auto& mine : latencies) {
-    all.insert(all.end(), mine.begin(), mine.end());
-  }
-  result.p50_us = Percentile(&all, 0.50);
-  result.p99_us = Percentile(&all, 0.99);
-  return result;
+LoadResult RunExact(service::QueryService& service, int num_clients,
+                    Index hot_set) {
+  return RunClosedLoop(service, num_clients, /*requests_per_client=*/50,
+                       0xDE6ull, 7919, [&](Rng& rng) {
+                         return MakeRequest(rng, hot_set,
+                                            service::QualityClass::kExact);
+                       });
 }
 
 struct OverloadResult {
@@ -116,7 +71,7 @@ struct OverloadResult {
   int rejected = 0;  ///< admission failures (queue full / budget)
   int served_exact = 0;
   int served_approx = 0;
-  uint64_t p50_us = 0, p99_us = 0;
+  double p50_us = 0.0, p99_us = 0.0;
   double offered_qps = 0.0;
   double mean_batch = 0.0;  ///< requests coalesced per micro-batch
 };
@@ -125,20 +80,20 @@ struct OverloadResult {
 // arrival schedule (rate = overload x capacity) regardless of completions —
 // the arrival process a queueing collapse needs. Tickets are drained after
 // the schedule ends.
-OverloadResult RunOverload(service::QueryService* service, double rate_qps,
-                           int num_requests, Index qsize, Index hot_set) {
+OverloadResult RunOverload(service::QueryService& service, double rate_qps,
+                           Index hot_set) {
   OverloadResult result;
   std::vector<service::QueryService::Ticket> tickets;
-  tickets.reserve(static_cast<std::size_t>(num_requests));
+  tickets.reserve(static_cast<std::size_t>(kOverloadRequests));
   Rng rng(0x0E71ull);
   const auto start = std::chrono::steady_clock::now();
   const double gap_ns = 1e9 / rate_qps;
-  for (int r = 0; r < num_requests; ++r) {
+  for (int r = 0; r < kOverloadRequests; ++r) {
     std::this_thread::sleep_until(
         start + std::chrono::nanoseconds(
                     static_cast<int64_t>(gap_ns * static_cast<double>(r))));
-    auto ticket = service->Submit(MakeRequest(
-        &rng, qsize, hot_set, service::QualityClass::kBestEffort));
+    auto ticket = service.Submit(
+        MakeRequest(rng, hot_set, service::QualityClass::kBestEffort));
     if (ticket.ok()) {
       tickets.push_back(*std::move(ticket));
     } else {
@@ -149,7 +104,7 @@ OverloadResult RunOverload(service::QueryService* service, double rate_qps,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   result.offered_qps =
-      offered_seconds > 0.0 ? num_requests / offered_seconds : 0.0;
+      offered_seconds > 0.0 ? kOverloadRequests / offered_seconds : 0.0;
 
   std::vector<uint64_t> latencies;
   latencies.reserve(tickets.size());
@@ -166,8 +121,8 @@ OverloadResult RunOverload(service::QueryService* service, double rate_qps,
       ++result.served_exact;
     }
   }
-  result.p50_us = Percentile(&latencies, 0.50);
-  result.p99_us = Percentile(&latencies, 0.99);
+  result.p50_us = Percentile(latencies, 0.50);
+  result.p99_us = Percentile(latencies, 0.99);
   result.mean_batch = result.ok > 0 ? batch_sum / result.ok : 0.0;
   return result;
 }
@@ -186,13 +141,7 @@ int main(int argc, char** argv) {
               "tiered serving bounds p99 past exact capacity", config);
 
   const Index n = static_cast<Index>(GetEnvInt64("COSIM_DEGRADATION_N", 8000));
-  const Index qsize = static_cast<Index>(GetEnvInt64("COSIM_DEGRADATION_Q", 4));
-  const int num_requests =
-      static_cast<int>(GetEnvInt64("COSIM_DEGRADATION_REQUESTS", 400));
-  const double overload = GetEnvDouble("COSIM_DEGRADATION_OVERLOAD", 10.0);
-  const int shed_depth =
-      static_cast<int>(GetEnvInt64("COSIM_DEGRADATION_SHED_DEPTH", 4));
-  const Index hot_set = std::min<Index>(n, 64 * qsize);
+  const Index hot_set = std::min<Index>(n, 64 * kQuerySize);
 
   auto graph = graph::ErdosRenyi(n, 8 * n, 0xDE6A);
   CSR_CHECK(graph.ok()) << graph.status().ToString();
@@ -213,10 +162,8 @@ int main(int argc, char** argv) {
   const linalg::CsrMatrix transition = graph::ColumnNormalizedTransition(*graph);
   baselines::RpCoSimOptions approx_options;
   approx_options.damping = config.damping;
-  approx_options.iterations = static_cast<int>(
-      GetEnvInt64("COSIM_DEGRADATION_APPROX_ITERS", 1));
-  approx_options.num_samples = static_cast<Index>(
-      GetEnvInt64("COSIM_DEGRADATION_APPROX_SAMPLES", 2));
+  approx_options.iterations = kApproxIterations;
+  approx_options.num_samples = kApproxSamples;
   baselines::RpCosimEngine approx(&transition, approx_options);
   CSR_CHECK(approx.PrecomputeSketch().ok());
 
@@ -229,86 +176,59 @@ int main(int argc, char** argv) {
 
   service::ServiceOptions service_options;
   service_options.approximate_engine = &approx;
-  service_options.shed_trigger_depth = shed_depth;
+  service_options.shed_trigger_depth = kShedDepth;
   service_options.shed_resume_depth = 1;
   // Overload survival depends on batch amortization: a deep shed-tier queue
   // must coalesce into wide micro-batches so the per-request fixed costs
   // (dispatch, output scatter) amortize. Serving defaults are tuned for
   // latency; this bench serves throughput under collapse.
   service_options.max_batch_requests = 64;
-  service_options.max_batch_queries = std::max<Index>(64 * qsize, 64);
+  service_options.max_batch_queries = 64 * kQuerySize;
   service::QueryService service(exact, service_options);
 
   // Warm the dispatcher / thread pool before timing anything.
   Rng warm_rng(0x11ull);
   for (int i = 0; i < 4; ++i) {
-    (void)service.Query(MakeRequest(&warm_rng, qsize, hot_set,
-                                    service::QualityClass::kExact));
+    (void)service.Query(
+        MakeRequest(warm_rng, hot_set, service::QualityClass::kExact));
   }
 
-  ClosedLoopResult unloaded =
-      RunClosedLoop(&service, /*num_clients=*/1, /*requests_per_client=*/50,
-                    qsize, hot_set);
-  ClosedLoopResult capacity =
-      RunClosedLoop(&service, /*num_clients=*/4, /*requests_per_client=*/50,
-                    qsize, hot_set);
-  const double rate = overload * std::max(capacity.qps, 1.0);
-  OverloadResult overloaded =
-      RunOverload(&service, rate, num_requests, qsize, hot_set);
+  const LoadResult unloaded = RunExact(service, /*num_clients=*/1, hot_set);
+  const LoadResult capacity = RunExact(service, /*num_clients=*/4, hot_set);
+  const double rate = kOverload * std::max(capacity.qps(), 1.0);
+  const OverloadResult overloaded = RunOverload(service, rate, hot_set);
   service.Shutdown();
 
+  const double unloaded_p99 = Percentile(unloaded.latencies_us, 0.99);
   eval::TablePrinter table(
       {"arm", "ok", "rejected", "exact", "approx", "p50 us", "p99 us"});
-  table.AddRow({"unloaded exact", std::to_string(unloaded.ok), "0",
-                std::to_string(unloaded.ok), "0",
-                std::to_string(unloaded.p50_us),
-                std::to_string(unloaded.p99_us)});
-  table.AddRow({"saturated exact", std::to_string(capacity.ok), "0",
-                std::to_string(capacity.ok), "0",
-                std::to_string(capacity.p50_us),
-                std::to_string(capacity.p99_us)});
+  const std::pair<const char*, const LoadResult*> exact_arms[] = {
+      {"unloaded exact", &unloaded}, {"saturated exact", &capacity}};
+  for (const auto& [arm, r] : exact_arms) {
+    table.AddRow({arm, std::to_string(r->ok), "0", std::to_string(r->ok), "0",
+                  StrPrintf("%.0f", Percentile(r->latencies_us, 0.50)),
+                  StrPrintf("%.0f", Percentile(r->latencies_us, 0.99))});
+  }
   table.AddRow({"overload best-effort", std::to_string(overloaded.ok),
                 std::to_string(overloaded.rejected),
                 std::to_string(overloaded.served_exact),
                 std::to_string(overloaded.served_approx),
-                std::to_string(overloaded.p50_us),
-                std::to_string(overloaded.p99_us)});
+                StrPrintf("%.0f", overloaded.p50_us),
+                StrPrintf("%.0f", overloaded.p99_us)});
   table.Print();
 
   std::printf("\nexact capacity: %.0f QPS; offered: %.0f QPS (%.1fx); "
-              "overload mean batch %.1f requests\n",
-              capacity.qps, overloaded.offered_qps,
-              overloaded.offered_qps / std::max(capacity.qps, 1.0),
+              "overload mean batch %.1f requests\n\n",
+              capacity.qps(), overloaded.offered_qps,
+              overloaded.offered_qps / std::max(capacity.qps(), 1.0),
               overloaded.mean_batch);
-  const double p99_ratio =
-      unloaded.p99_us > 0
-          ? static_cast<double>(overloaded.p99_us) /
-                static_cast<double>(unloaded.p99_us)
-          : 0.0;
-  std::printf("overload p99 / unloaded exact p99: %.2fx "
-              "(gate: <= 3x with zero admission rejections)\n",
-              p99_ratio);
 
-  if (GetEnvInt64("COSIM_DEGRADATION_ENFORCE", 0) != 0) {
-    bool failed = false;
-    if (p99_ratio > 3.0) {
-      std::printf("DEGRADATION GATE FAIL: p99 ratio %.2fx > 3x\n", p99_ratio);
-      failed = true;
-    }
-    if (overloaded.rejected != 0) {
-      std::printf("DEGRADATION GATE FAIL: %d admission rejections with "
-                  "approximate-tier headroom\n",
-                  overloaded.rejected);
-      failed = true;
-    }
-    if (overloaded.served_approx == 0) {
-      std::printf("DEGRADATION GATE FAIL: controller never shed to the "
-                  "approximate tier under %.1fx overload\n",
-                  overload);
-      failed = true;
-    }
-    if (failed) return 1;
-    std::printf("DEGRADATION GATE PASS\n");
-  }
-  return 0;
+  Gates gates({"overload/unloaded p99", "admission rejections",
+               "approximate answers"});
+  gates.AtMost("overload/unloaded p99",
+               unloaded_p99 > 0.0 ? overloaded.p99_us / unloaded_p99 : 0.0,
+               3.0);
+  gates.AtMost("admission rejections", overloaded.rejected, 0);
+  gates.AtLeast("approximate answers", overloaded.served_approx, 1);
+  return gates.Finish();
 }

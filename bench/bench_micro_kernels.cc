@@ -187,7 +187,7 @@ BENCHMARK(BM_CsrPlusQuery)->Args({1 << 15, 100})->Args({1 << 15, 700})
 //
 // The same kernels with metric recording toggled at runtime (arg 0 = off,
 // 1 = on). Benchmark names are identical in the default and the
-// -DCSRPLUS_OBS_DISABLED=ON build, so tools/check_obs_overhead.py can
+// -DCSRPLUS_OBS_DISABLED=ON build, so tools/check_microbench.py can
 // compare the two builds' JSON output and fail CI if the instrumented
 // query is more than 5% slower than the compiled-out one. Both variants
 // run single-threaded: the hooks under test cost the same per call either
@@ -264,7 +264,7 @@ BENCHMARK(BM_CsrPlusQueryObs)
 // shapes, registered dynamically (one per precision per ISA this binary and
 // CPU can run) as BM_QueryGemm/<isa>/<f64|f32> and
 // BM_QueryDotRows/<isa>/<f64|f32>, each reporting a FLOPS rate counter
-// (read it as GFLOP/s). tools/check_kernel_speedup.py gates the serving
+// (read it as GFLOP/s). tools/check_microbench.py gates the serving
 // claim in CI: the dispatched SIMD f32 GEMM must be >= 2x the portable f64
 // baseline on the same shape.
 

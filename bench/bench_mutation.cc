@@ -8,9 +8,9 @@
 // and only the receipt's touched columns are re-fetched afterwards. This
 // bench quantifies that promise. It drives the same closed-loop Zipf client
 // load through a cached dynamic tenant twice — once mutation-free, once
-// with a writer thread streaming mixed insert/delete batches at roughly 1%
-// of the edge count per minute — and compares query p99 plus the
-// steady-state cache hit rate of the mutating arm.
+// with a writer thread streaming mixed insert/delete batches at 1% of the
+// edge count per minute — and compares query p99 plus the steady-state
+// cache hit rate of the mutating arm.
 //
 // The graph is built as disconnected communities so an update's
 // forward/reverse reach (the receipt's touched support) stays block-local;
@@ -18,15 +18,8 @@
 // every published batch cache-relevant (the worst case for delta
 // invalidation that does not degenerate into whole-cache flushes).
 //
-// Knobs (env): COSIM_MUT_N (nodes), COSIM_MUT_BLOCKS (communities),
-// COSIM_MUT_DEGREE (out-degree per node), COSIM_MUT_CLIENTS,
-// COSIM_MUT_REQUESTS (per client), COSIM_MUT_Q (queries per request),
-// COSIM_MUT_UNIVERSE (Zipf universe), COSIM_MUT_WRITE_BLOCKS (blocks the
-// writer may touch), COSIM_MUT_BATCH (updates per batch), COSIM_MUT_RATE
-// (updates/sec; 0 = derive 1% of edges per minute), COSIM_MUT_REBUILD_BUDGET
-// (effective updates before a full rebuild), COSIM_MUT_ENFORCE=1 (exit
-// nonzero unless mutating p99 <= 1.5x mutation-free p99 and steady hit
-// rate >= 60% — the CI smoke gate).
+// Gate (--enforce=1): mutating p99 <= 1.5x mutation-free p99, steady hit
+// rate >= 60%, no failed request, and at least one applied batch.
 
 #include <algorithm>
 #include <atomic>
@@ -37,183 +30,100 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "cache/column_cache.h"
-#include "core/dynamic_engine.h"
-#include "service/engine_registry.h"
 
 namespace {
 
 using namespace csrplus;
 using namespace csrplus::bench;
 
-// Zipf(s = 1.0) over ranks 1..universe (rank k -> node id k-1).
-class ZipfSampler {
- public:
-  explicit ZipfSampler(Index universe) {
-    cdf_.reserve(static_cast<std::size_t>(universe));
-    double total = 0.0;
-    for (Index k = 1; k <= universe; ++k) {
-      total += 1.0 / static_cast<double>(k);
-      cdf_.push_back(total);
-    }
-    for (double& c : cdf_) c /= total;
-  }
+constexpr Index kNodes = 4096;
+constexpr Index kBlocks = 64;
+constexpr Index kBlockSize = kNodes / kBlocks;
+constexpr Index kDegree = 8;
+constexpr int kClients = 4;
+constexpr int kRequestsPerClient = 2500;
+constexpr Index kQuerySize = 8;
+constexpr Index kUniverse = 2048;
+constexpr Index kWriteBlocks = 2;  // blocks the writer may touch
+constexpr int kBatchSize = 8;      // updates per batch
+constexpr int kRebuildBudget = 4096;
 
-  Index Sample(Rng& rng) const {
-    const double u = rng.Uniform();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    return static_cast<Index>(it - cdf_.begin());
-  }
-
- private:
-  std::vector<double> cdf_;
-};
-
-struct LoadResult {
-  double seconds = 0.0;
-  int ok = 0;
-  int failed = 0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
+struct Arm {
+  LoadResult load;
   double steady_hit_rate = 0.0;
   int batches_applied = 0;
   int64_t updates_applied = 0;
   double apply_seconds = 0.0;  // writer time inside ApplyUpdates
-
-  double qps() const { return ok / seconds; }
 };
 
-double Percentile(std::vector<uint64_t>& latencies, double p) {
-  if (latencies.empty()) return 0.0;
-  const std::size_t idx = static_cast<std::size_t>(
-      p * static_cast<double>(latencies.size() - 1));
-  std::nth_element(latencies.begin(), latencies.begin() + idx,
-                   latencies.end());
-  return static_cast<double>(latencies[idx]);
+// Streams paced mixed insert/delete batches through the registry until
+// `done`: inserts land inside the first kWriteBlocks blocks, deletes remove
+// edges this writer inserted earlier.
+void RunWriter(service::EngineRegistry& registry, double updates_per_sec,
+               const std::atomic<bool>& done, Arm* arm) {
+  Rng rng(0x3117A7E5ull);
+  std::vector<std::pair<Index, Index>> inserted;
+  const auto interval = std::chrono::duration<double>(
+      static_cast<double>(kBatchSize) / updates_per_sec);
+  const auto in_block = [&](Index lo) {
+    return lo + static_cast<Index>(
+                    rng.Below(static_cast<uint64_t>(kBlockSize)));
+  };
+  while (!done.load(std::memory_order_relaxed)) {
+    std::vector<core::EdgeUpdate> batch;
+    while (static_cast<int>(batch.size()) < kBatchSize) {
+      if (batch.size() % 2 == 1 && !inserted.empty()) {
+        const std::size_t pick = rng.Below(inserted.size());
+        const auto [u, v] = inserted[pick];
+        inserted.erase(inserted.begin() + static_cast<int64_t>(pick));
+        batch.push_back(core::EdgeUpdate::Delete(u, v));
+        continue;
+      }
+      const Index lo = static_cast<Index>(rng.Below(
+                           static_cast<uint64_t>(kWriteBlocks))) *
+                       kBlockSize;
+      const Index u = in_block(lo);
+      const Index v = in_block(lo);
+      if (u == v) continue;
+      batch.push_back(core::EdgeUpdate::Insert(u, v));
+      inserted.emplace_back(u, v);
+    }
+    WallTimer apply_timer;
+    auto receipt = registry.ApplyUpdates("bench", batch);
+    CSR_CHECK(receipt.ok()) << receipt.status().ToString();
+    arm->apply_seconds += apply_timer.ElapsedSeconds();
+    ++arm->batches_applied;
+    arm->updates_applied += static_cast<int64_t>(receipt->effective_count);
+    std::this_thread::sleep_for(interval);
+  }
 }
 
-// One closed-loop run against the tenant's service. A single-threaded sweep
-// over the query universe warms the cache first; the hit rate is the stats
-// delta across the timed window only. When `mutate` is set, a writer thread
-// streams paced mixed batches through the registry for the whole window.
-LoadResult RunLoad(service::EngineRegistry& registry, bool mutate,
-                   int num_clients, int requests_per_client, Index qsize,
-                   Index universe, const ZipfSampler& zipf, Index block_size,
-                   Index write_blocks, int batch_size,
-                   double updates_per_sec) {
+// One closed-loop run against the tenant's service, after a warm-up sweep
+// over the query universe; with `updates_per_sec` > 0 a writer streams
+// batches for the whole window.
+Arm RunArm(service::EngineRegistry& registry, const ZipfSampler& zipf,
+           double updates_per_sec) {
   service::QueryService* service = registry.Find("bench");
   cache::ColumnCache* cache = registry.TenantCache("bench");
   CSR_CHECK(service != nullptr && cache != nullptr);
-
-  for (Index base = 0; base < universe; base += qsize) {
-    service::QueryRequest request;
-    for (Index q = base; q < std::min<Index>(base + qsize, universe); ++q) {
-      request.queries.push_back(q);
-    }
-    service::QueryResponse response = service->Query(std::move(request));
-    CSR_CHECK(response.status.ok()) << response.status.ToString();
-  }
+  WarmCache(*service, kUniverse, kQuerySize);
   const cache::ColumnCacheStats before = cache->Stats();
 
-  std::atomic<int> ok{0}, failed{0};
+  Arm arm;
   std::atomic<bool> done{false};
-  LoadResult result;
-
   std::thread writer;
-  if (mutate) {
-    writer = std::thread([&] {
-      Rng rng(0x3117A7E5ull);
-      std::vector<std::pair<Index, Index>> inserted;
-      const auto interval = std::chrono::duration<double>(
-          static_cast<double>(batch_size) / updates_per_sec);
-      while (!done.load(std::memory_order_relaxed)) {
-        std::vector<core::EdgeUpdate> batch;
-        while (static_cast<int>(batch.size()) < batch_size) {
-          if (batch.size() % 2 == 1 && !inserted.empty()) {
-            // Delete an edge this writer inserted earlier: guaranteed
-            // in-block, usually still present.
-            const std::size_t pick = rng.Below(inserted.size());
-            const auto [u, v] = inserted[pick];
-            inserted.erase(inserted.begin() + static_cast<int64_t>(pick));
-            batch.push_back(core::EdgeUpdate::Delete(u, v));
-            continue;
-          }
-          const Index block = static_cast<Index>(
-              rng.Below(static_cast<uint64_t>(write_blocks)));
-          const Index lo = block * block_size;
-          const Index u =
-              lo + static_cast<Index>(rng.Below(
-                       static_cast<uint64_t>(block_size)));
-          const Index v =
-              lo + static_cast<Index>(rng.Below(
-                       static_cast<uint64_t>(block_size)));
-          if (u == v) continue;
-          batch.push_back(core::EdgeUpdate::Insert(u, v));
-          inserted.emplace_back(u, v);
-        }
-        WallTimer apply_timer;
-        auto receipt = registry.ApplyUpdates("bench", batch);
-        CSR_CHECK(receipt.ok()) << receipt.status().ToString();
-        result.apply_seconds += apply_timer.ElapsedSeconds();
-        ++result.batches_applied;
-        result.updates_applied +=
-            static_cast<int64_t>(receipt->effective_count);
-        std::this_thread::sleep_for(interval);
-      }
-    });
+  if (updates_per_sec > 0.0) {
+    writer = std::thread(
+        [&] { RunWriter(registry, updates_per_sec, done, &arm); });
   }
-
-  std::vector<std::vector<uint64_t>> latencies(
-      static_cast<std::size_t>(num_clients));
-  WallTimer timer;
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<std::size_t>(num_clients));
-  for (int c = 0; c < num_clients; ++c) {
-    latencies[static_cast<std::size_t>(c)].reserve(
-        static_cast<std::size_t>(requests_per_client));
-    clients.emplace_back([&, c] {
-      Rng rng(0x9E1A7ull + static_cast<uint64_t>(c) * 7919);
-      for (int r = 0; r < requests_per_client; ++r) {
-        service::QueryRequest request;
-        while (static_cast<Index>(request.queries.size()) < qsize) {
-          const Index q = zipf.Sample(rng);
-          if (std::find(request.queries.begin(), request.queries.end(), q) ==
-              request.queries.end()) {
-            request.queries.push_back(q);
-          }
-        }
-        service::QueryResponse response = service->Query(std::move(request));
-        if (response.status.ok()) {
-          ++ok;
-          latencies[static_cast<std::size_t>(c)].push_back(
-              response.total_micros);
-        } else {
-          ++failed;
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  result.seconds = timer.ElapsedSeconds();
+  arm.load = RunClosedLoop(
+      *service, kClients, kRequestsPerClient, 0x9E1A7ull, 7919, [&](Rng& rng) {
+        return DistinctRequest(kQuerySize, [&] { return zipf.Sample(rng); });
+      });
   done.store(true, std::memory_order_relaxed);
   if (writer.joinable()) writer.join();
-
-  result.ok = ok.load();
-  result.failed = failed.load();
-  std::vector<uint64_t> merged;
-  for (auto& per_client : latencies) {
-    merged.insert(merged.end(), per_client.begin(), per_client.end());
-  }
-  result.p50_us = Percentile(merged, 0.50);
-  result.p99_us = Percentile(merged, 0.99);
-  const cache::ColumnCacheStats after = cache->Stats();
-  const int64_t lookups =
-      (after.hits + after.misses) - (before.hits + before.misses);
-  if (lookups > 0) {
-    result.steady_hit_rate =
-        static_cast<double>(after.hits - before.hits) / lookups;
-  }
-  return result;
+  arm.steady_hit_rate = SteadyHitRate(before, cache->Stats());
+  return arm;
 }
 
 }  // namespace
@@ -228,38 +138,18 @@ int main(int argc, char** argv) {
   PrintBanner("Mutation stream",
               "query p99 with vs without a live edge-update stream", config);
 
-  const Index blocks =
-      static_cast<Index>(GetEnvInt64("COSIM_MUT_BLOCKS", 64));
-  const Index n = std::max<Index>(
-      blocks, static_cast<Index>(GetEnvInt64("COSIM_MUT_N", 4096)) / blocks *
-                  blocks);
-  const Index block_size = n / blocks;
-  const Index degree = static_cast<Index>(GetEnvInt64("COSIM_MUT_DEGREE", 8));
-  const int num_clients =
-      static_cast<int>(GetEnvInt64("COSIM_MUT_CLIENTS", 4));
-  const int requests =
-      static_cast<int>(GetEnvInt64("COSIM_MUT_REQUESTS", 2500));
-  const Index qsize = static_cast<Index>(GetEnvInt64("COSIM_MUT_Q", 8));
-  const Index universe = std::min<Index>(
-      n, static_cast<Index>(GetEnvInt64("COSIM_MUT_UNIVERSE", 2048)));
-  const Index write_blocks = std::min<Index>(
-      std::max<Index>(1, universe / block_size),
-      static_cast<Index>(GetEnvInt64("COSIM_MUT_WRITE_BLOCKS", 2)));
-  const int batch_size = static_cast<int>(GetEnvInt64("COSIM_MUT_BATCH", 8));
-  const bool enforce = GetEnvInt64("COSIM_MUT_ENFORCE", 0) != 0;
-
   // Disconnected communities: dedup in-block edges via the builder.
-  graph::GraphBuilder builder(n);
+  graph::GraphBuilder builder(kNodes);
   {
     Rng rng(0xB10C5ull);
-    for (Index block = 0; block < blocks; ++block) {
-      const Index lo = block * block_size;
+    for (Index block = 0; block < kBlocks; ++block) {
+      const Index lo = block * kBlockSize;
       int64_t added = 0;
-      while (added < static_cast<int64_t>(degree) * block_size) {
+      while (added < static_cast<int64_t>(kDegree) * kBlockSize) {
         const Index u = lo + static_cast<Index>(rng.Below(
-                                 static_cast<uint64_t>(block_size)));
+                                 static_cast<uint64_t>(kBlockSize)));
         const Index v = lo + static_cast<Index>(rng.Below(
-                                 static_cast<uint64_t>(block_size)));
+                                 static_cast<uint64_t>(kBlockSize)));
         if (u == v) continue;
         builder.AddEdge(u, v);
         ++added;
@@ -270,22 +160,18 @@ int main(int argc, char** argv) {
   CSR_CHECK(graph.ok()) << graph.status().ToString();
   std::printf("graph: %s (%ld blocks of %ld)\n",
               graph::ToString(graph::ComputeStats(*graph)).c_str(),
-              static_cast<long>(blocks), static_cast<long>(block_size));
+              static_cast<long>(kBlocks), static_cast<long>(kBlockSize));
 
-  // 1% of the edge count per minute unless overridden.
-  const double default_rate =
-      static_cast<double>(graph->num_edges()) * 0.01 / 60.0;
-  double updates_per_sec =
-      static_cast<double>(GetEnvInt64("COSIM_MUT_RATE", 0));
-  if (updates_per_sec <= 0.0) updates_per_sec = std::max(1.0, default_rate);
+  // 1% of the edge count per minute.
+  const double updates_per_sec = std::max(
+      1.0, static_cast<double>(graph->num_edges()) * 0.01 / 60.0);
 
   service::EngineRegistry registry;
   service::TenantOptions tenant;
   tenant.kind = service::EngineKind::kDynamic;
-  tenant.config.rank = std::min<Index>(config.rank, n);
+  tenant.config.rank = std::min<Index>(config.rank, kNodes);
   tenant.config.damping = config.damping;
-  tenant.config.max_incremental_updates = static_cast<int>(
-      GetEnvInt64("COSIM_MUT_REBUILD_BUDGET", 4096));
+  tenant.config.max_incremental_updates = kRebuildBudget;
   tenant.cache_capacity_bytes = int64_t{256} << 20;
   WallTimer timer;
   CSR_CHECK(registry
@@ -298,75 +184,45 @@ int main(int argc, char** argv) {
   std::printf("workload: Zipf(1.0) over %ld nodes, %d clients x %d requests "
               "x %ld queries; writer: %.1f updates/s in batches of %d over "
               "%ld blocks\n\n",
-              static_cast<long>(universe), num_clients, requests,
-              static_cast<long>(qsize), updates_per_sec, batch_size,
-              static_cast<long>(write_blocks));
+              static_cast<long>(kUniverse), kClients, kRequestsPerClient,
+              static_cast<long>(kQuerySize), updates_per_sec, kBatchSize,
+              static_cast<long>(kWriteBlocks));
 
-  const ZipfSampler zipf(universe);
-  const LoadResult quiet =
-      RunLoad(registry, /*mutate=*/false, num_clients, requests, qsize,
-              universe, zipf, block_size, write_blocks, batch_size,
-              updates_per_sec);
-  const LoadResult mutating =
-      RunLoad(registry, /*mutate=*/true, num_clients, requests, qsize,
-              universe, zipf, block_size, write_blocks, batch_size,
-              updates_per_sec);
+  const ZipfSampler zipf(kUniverse);
+  const Arm quiet = RunArm(registry, zipf, /*updates_per_sec=*/0.0);
+  const Arm mutating = RunArm(registry, zipf, updates_per_sec);
   registry.Shutdown();
 
-  eval::TablePrinter table({"mode", "ok", "failed", "QPS", "p50 µs", "p99 µs",
-                            "steady hit rate", "batches", "updates"});
-  const std::pair<const char*, const LoadResult*> arms[] = {
+  const double quiet_p99 = Percentile(quiet.load.latencies_us, 0.99);
+  const double mutating_p99 = Percentile(mutating.load.latencies_us, 0.99);
+  eval::TablePrinter table({"mode", "ok", "failed", "QPS", "avg batch",
+                            "p50 µs", "p99 µs", "steady hit rate", "batches",
+                            "updates"});
+  const std::pair<const char*, const Arm*> arms[] = {
       {"mutation-free", &quiet}, {"mutating", &mutating}};
-  for (const auto& [mode, r] : arms) {
-    char hit_cell[32];
-    std::snprintf(hit_cell, sizeof(hit_cell), "%.1f%%",
-                  100.0 * r->steady_hit_rate);
-    table.AddRow({mode, std::to_string(r->ok), std::to_string(r->failed),
-                  std::to_string(static_cast<int64_t>(r->qps())),
-                  std::to_string(static_cast<int64_t>(r->p50_us)),
-                  std::to_string(static_cast<int64_t>(r->p99_us)), hit_cell,
-                  std::to_string(r->batches_applied),
-                  std::to_string(r->updates_applied)});
+  for (const auto& [mode, arm] : arms) {
+    table.AddRow(
+        {mode, std::to_string(arm->load.ok), std::to_string(arm->load.failed),
+         std::to_string(static_cast<int64_t>(arm->load.qps())),
+         StrPrintf("%.2f", arm->load.mean_batch()),
+         StrPrintf("%.0f", Percentile(arm->load.latencies_us, 0.50)),
+         StrPrintf("%.0f", Percentile(arm->load.latencies_us, 0.99)),
+         StrPrintf("%.1f%%", 100.0 * arm->steady_hit_rate),
+         std::to_string(arm->batches_applied),
+         std::to_string(arm->updates_applied)});
   }
   table.Print();
+  std::printf("\nwriter: %.1fms per batch\n\n",
+              mutating.batches_applied > 0
+                  ? 1000.0 * mutating.apply_seconds / mutating.batches_applied
+                  : 0.0);
 
-  const double ratio =
-      quiet.p99_us > 0.0 ? mutating.p99_us / quiet.p99_us : 0.0;
-  const double apply_ms_per_batch =
-      mutating.batches_applied > 0
-          ? 1000.0 * mutating.apply_seconds / mutating.batches_applied
-          : 0.0;
-  std::printf("\nmutating/quiet p99: %.2fx  steady hit rate under mutation: "
-              "%.1f%%  (%d batches / %lld effective updates applied, "
-              "%.1fms per batch)\n",
-              ratio, 100.0 * mutating.steady_hit_rate,
-              mutating.batches_applied,
-              static_cast<long long>(mutating.updates_applied),
-              apply_ms_per_batch);
-
-  if (enforce) {
-    bool pass = true;
-    if (ratio > 1.5) {
-      std::fprintf(stderr, "FAIL: p99 ratio %.2fx > 1.5x\n", ratio);
-      pass = false;
-    }
-    if (mutating.steady_hit_rate < 0.60) {
-      std::fprintf(stderr, "FAIL: steady hit rate %.1f%% < 60%%\n",
-                   100.0 * mutating.steady_hit_rate);
-      pass = false;
-    }
-    if (quiet.failed + mutating.failed > 0) {
-      std::fprintf(stderr, "FAIL: %d requests failed\n",
-                   quiet.failed + mutating.failed);
-      pass = false;
-    }
-    if (mutating.batches_applied < 1) {
-      std::fprintf(stderr, "FAIL: the mutation stream never applied a "
-                           "batch\n");
-      pass = false;
-    }
-    if (!pass) return 1;
-    std::printf("enforce: p99 ratio <= 1.5x and hit rate >= 60%% -- OK\n");
-  }
-  return 0;
+  Gates gates({"mutating/quiet p99", "steady hit rate", "failed requests",
+               "applied batches"});
+  gates.AtMost("mutating/quiet p99",
+               quiet_p99 > 0.0 ? mutating_p99 / quiet_p99 : 0.0, 1.5);
+  gates.AtLeast("steady hit rate", mutating.steady_hit_rate, 0.60);
+  gates.AtMost("failed requests", quiet.load.failed + mutating.load.failed, 0);
+  gates.AtLeast("applied batches", mutating.batches_applied, 1);
+  return gates.Finish();
 }

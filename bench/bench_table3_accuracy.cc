@@ -6,6 +6,10 @@
 // (losslessness, Theorems 3.1-3.5). NI runs in mixed-product fidelity here:
 // the faithful arithmetic at r = 200 would take days, and fidelity does not
 // change the output (tests/theorems_test.cc proves the identity).
+//
+// Gate (--enforce=1), over every workload cell: the float32 serving tier
+// stays within max|f32 - f64| <= 1e-4 with top-10 overlap >= 0.99, and
+// RP-CoSim's measured AvgDiff sits under its advertised error bound.
 
 #include <algorithm>
 
@@ -27,21 +31,15 @@ int main(int argc, char** argv) {
   eval::TablePrinter table({"dataset", "r", "AvgDiff(CSR+)", "AvgDiff(CSR-NI)",
                             "MaxDiff(CSR+ vs NI)"});
   // The float32 serving tier rides the same workloads: quantised factors +
-  // SIMD f32 kernels vs the double engine. CI enforces the two thresholds
-  // below with --f32-enforce=1 (env COSIM_F32_ENFORCE).
+  // SIMD f32 kernels vs the double engine.
   eval::TablePrinter f32_table(
-      {"dataset", "r", "MaxDiff(f32 vs f64)", "minTop10Overlap", "gate"});
-  constexpr double kF32MaxDiffCeiling = 1e-4;
-  constexpr double kF32OverlapFloor = 0.99;
-  bool f32_gate_failed = false;
-  bool f32_gate_ran = false;
+      {"dataset", "r", "MaxDiff(f32 vs f64)", "minTop10Overlap"});
   // RP-CoSim advertises an a-priori error bound through its AccuracyTag
   // (RpCoSimErrorBound); the serving-tier contract only holds if measured
-  // error actually sits under it. CI enforces with --rp-enforce=1.
+  // error actually sits under it.
   eval::TablePrinter rp_table(
-      {"dataset", "d", "AvgDiff(RP)", "advertised bound", "gate"});
-  bool rp_gate_failed = false;
-  bool rp_gate_ran = false;
+      {"dataset", "d", "AvgDiff(RP)", "advertised bound"});
+  Gates gates({"f32 MaxDiff", "f32 top-10 overlap", "RP-CoSim AvgDiff"});
 
   for (const std::string& key : {std::string("fb"), std::string("p2p")}) {
     auto workload = LoadWorkload(key, DefaultQuerySize());
@@ -118,7 +116,7 @@ int main(int argc, char** argv) {
       auto f64_engine = core::CsrPlusEngine::PrecomputeFromTransition(
           workload->transition, tier_options);
       if (!f64_engine.ok()) {
-        f32_table.AddRow({workload->key, std::to_string(r), "FAIL", "-", "-"});
+        f32_table.AddRow({workload->key, std::to_string(r), "FAIL", "-"});
         continue;
       }
       tier_options.precision = core::Precision::kF32;
@@ -136,15 +134,12 @@ int main(int argc, char** argv) {
         min_overlap = std::min(
             min_overlap, eval::TopKOverlap(*f32_scores, *f64_scores, j, 10));
       }
-      const bool pass =
-          max_diff <= kF32MaxDiffCeiling && min_overlap >= kF32OverlapFloor;
-      f32_gate_ran = true;
-      if (!pass) f32_gate_failed = true;
-      char overlap_cell[32];
-      std::snprintf(overlap_cell, sizeof(overlap_cell), "%.3f", min_overlap);
+      const std::string cell = workload->key + " r=" + std::to_string(r);
+      gates.AtMost("f32 MaxDiff", max_diff, 1e-4, cell);
+      gates.AtLeast("f32 top-10 overlap", min_overlap, 0.99, cell);
       f32_table.AddRow({workload->key, std::to_string(r),
-                        eval::FormatSci(max_diff), overlap_cell,
-                        pass ? "ok" : "FAIL"});
+                        eval::FormatSci(max_diff),
+                        StrPrintf("%.3f", min_overlap)});
     }
 
     // --- RP-CoSim advertised error bound vs measured error -----------------
@@ -158,12 +153,10 @@ int main(int argc, char** argv) {
       CSR_CHECK_OK(rp_scores.status());
       const double rp_avgdiff = eval::AvgDiff(*rp_scores, *exact);
       const double bound = rp_engine.Accuracy().error_bound;
-      const bool pass = rp_avgdiff <= bound;
-      rp_gate_ran = true;
-      if (!pass) rp_gate_failed = true;
+      gates.AtMost("RP-CoSim AvgDiff", rp_avgdiff, bound,
+                   workload->key + " d=" + std::to_string(d));
       rp_table.AddRow({workload->key, std::to_string(d),
-                       eval::FormatSci(rp_avgdiff), eval::FormatSci(bound),
-                       pass ? "ok" : "FAIL"});
+                       eval::FormatSci(rp_avgdiff), eval::FormatSci(bound)});
     }
   }
   std::printf("\n");
@@ -171,39 +164,11 @@ int main(int argc, char** argv) {
   std::printf("\nexpected: AvgDiff decreases mildly with r; the last column "
               "(CSR+ vs NI) is ~1e-12 wherever NI survives.\n");
 
-  std::printf("\nfloat32 serving tier (gate: MaxDiff <= %.0e, "
-              "min top-10 overlap >= %.2f):\n\n",
-              kF32MaxDiffCeiling, kF32OverlapFloor);
+  std::printf("\nfloat32 serving tier:\n\n");
   f32_table.Print();
-  const bool enforce = GetEnvInt64("COSIM_F32_ENFORCE", 0) != 0;
-  if (enforce && !f32_gate_ran) {
-    std::fprintf(stderr, "\n--f32-enforce=1 but no workload loaded; the f32 "
-                         "accuracy gate could not run\n");
-    return 1;
-  }
-  if (f32_gate_failed) {
-    std::fprintf(stderr, "\nf32 serving tier exceeded the accuracy "
-                         "thresholds%s\n",
-                 enforce ? "" : " (informational; --f32-enforce=1 makes this "
-                                "fatal)");
-    if (enforce) return 1;
-  }
-
-  std::printf("\nRP-CoSim approximate tier (gate: AvgDiff <= advertised "
-              "AccuracyTag bound):\n\n");
+  std::printf("\nRP-CoSim approximate tier (bound: the advertised "
+              "AccuracyTag error bound):\n\n");
   rp_table.Print();
-  const bool rp_enforce = GetEnvInt64("COSIM_RP_ENFORCE", 0) != 0;
-  if (rp_enforce && !rp_gate_ran) {
-    std::fprintf(stderr, "\n--rp-enforce=1 but no workload loaded; the "
-                         "RP-CoSim bound gate could not run\n");
-    return 1;
-  }
-  if (rp_gate_failed) {
-    std::fprintf(stderr, "\nRP-CoSim measured error exceeded the advertised "
-                         "bound%s\n",
-                 rp_enforce ? "" : " (informational; --rp-enforce=1 makes "
-                                   "this fatal)");
-    if (rp_enforce) return 1;
-  }
-  return 0;
+  std::printf("\n");
+  return gates.Finish();
 }

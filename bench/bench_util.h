@@ -1,20 +1,32 @@
-// Shared helpers for the figure/table reproduction benches.
+// Shared helpers for the figure/table reproduction benches and the serving
+// gates.
 //
 // Every bench binary prints a banner naming the paper artefact it
 // regenerates, loads datasets through the registry (cached under data/),
 // and emits one aligned table whose rows correspond to the paper's plotted
 // series. COSIM_SCALE=full switches to the large dataset configurations.
+//
+// The serving gates (bench_cache_hit, bench_mutation, bench_warm_start,
+// bench_degradation, bench_table3_accuracy) share one closed-loop driver,
+// one request maker, one percentile and one gate reporter, `Gates`: every
+// check prints one line, and under --enforce=1 (COSIM_ENFORCE) the binary
+// exits 1 when a check failed or never ran.
 
 #ifndef CSRPLUS_BENCH_BENCH_UTIL_H_
 #define CSRPLUS_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "csrplus.h"
+#include "e2e_util.h"
 
 namespace csrplus::bench {
 
@@ -65,7 +77,7 @@ inline void PrintBanner(const char* artefact, const char* description,
 /// Shared bench knob parsing, unifying flag spelling with the CLI.
 ///
 /// Canonical form is the CLI's dashed style: `--rank=5`, `--threads=4`,
-/// `--scale=full`, `--service-n=20000`, ... Each `--some-knob=value` maps to
+/// `--scale=full`, `--cache-n=2000`, ... Each `--some-knob=value` maps to
 /// the `COSIM_SOME_KNOB` environment variable the benches already read
 /// (`--threads=` maps to the process-wide pool width), so flags and env vars
 /// are interchangeable and flags win by being applied last. Anything else is
@@ -135,6 +147,179 @@ inline RunConfig PaperDefaults() {
 inline Index DefaultQuerySize() {
   return static_cast<Index>(GetEnvInt64("COSIM_Q", 100));
 }
+
+// --- Serving gates ---------------------------------------------------------
+
+using e2e::ZipfSampler;
+
+/// The sample at rank floor(p * (n - 1)); 0 for no samples.
+inline double Percentile(std::vector<uint64_t> samples, double p) {
+  if (samples.empty()) return 0.0;
+  const auto rank = static_cast<std::ptrdiff_t>(
+      p * static_cast<double>(samples.size() - 1));
+  std::nth_element(samples.begin(), samples.begin() + rank, samples.end());
+  return static_cast<double>(samples[static_cast<std::size_t>(rank)]);
+}
+
+/// A request of `qsize` distinct query nodes, each drawn by `draw()` until
+/// it differs from the ones already taken.
+template <typename Draw>
+service::QueryRequest DistinctRequest(Index qsize, Draw&& draw) {
+  service::QueryRequest request;
+  while (static_cast<Index>(request.queries.size()) < qsize) {
+    const Index q = draw();
+    if (std::find(request.queries.begin(), request.queries.end(), q) ==
+        request.queries.end()) {
+      request.queries.push_back(q);
+    }
+  }
+  return request;
+}
+
+/// Outcome of one closed-loop run.
+struct LoadResult {
+  double seconds = 0.0;
+  int ok = 0;
+  int failed = 0;
+  std::vector<uint64_t> latencies_us;  ///< total_micros of each ok response
+  int64_t batch_requests = 0;          ///< summed over the ok responses
+
+  double qps() const { return seconds > 0.0 ? ok / seconds : 0.0; }
+  double mean_batch() const {
+    return ok > 0 ? static_cast<double>(batch_requests) / ok : 0.0;
+  }
+};
+
+/// Closed loop: `num_clients` threads, client c seeded with
+/// `seed + c * seed_stride`, each sending `requests_per_client` requests
+/// `make_request(rng)` back to back through `service`.
+template <typename MakeRequest>
+LoadResult RunClosedLoop(service::QueryService& service, int num_clients,
+                         int requests_per_client, uint64_t seed,
+                         uint64_t seed_stride,
+                         const MakeRequest& make_request) {
+  std::vector<LoadResult> per_client(static_cast<std::size_t>(num_clients));
+  WallTimer timer;
+  std::vector<std::thread> clients;
+  clients.reserve(per_client.size());
+  for (int c = 0; c < num_clients; ++c) {
+    clients.emplace_back([&, c] {
+      LoadResult& mine = per_client[static_cast<std::size_t>(c)];
+      mine.latencies_us.reserve(static_cast<std::size_t>(requests_per_client));
+      Rng rng(seed + static_cast<uint64_t>(c) * seed_stride);
+      for (int r = 0; r < requests_per_client; ++r) {
+        const service::QueryResponse response =
+            service.Query(make_request(rng));
+        if (!response.status.ok()) {
+          ++mine.failed;
+          continue;
+        }
+        ++mine.ok;
+        mine.latencies_us.push_back(response.total_micros);
+        mine.batch_requests += response.batch_requests;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  LoadResult result;
+  result.seconds = timer.ElapsedSeconds();
+  for (const LoadResult& mine : per_client) {
+    result.ok += mine.ok;
+    result.failed += mine.failed;
+    result.batch_requests += mine.batch_requests;
+    result.latencies_us.insert(result.latencies_us.end(),
+                               mine.latencies_us.begin(),
+                               mine.latencies_us.end());
+  }
+  return result;
+}
+
+/// Sends nodes [0, universe) through `service` in requests of `qsize`, so a
+/// cache that fits the universe holds all of it: the steady state of a
+/// repeated workload.
+inline void WarmCache(service::QueryService& service, Index universe,
+                      Index qsize) {
+  for (Index base = 0; base < universe; base += qsize) {
+    service::QueryRequest request;
+    for (Index q = base; q < std::min<Index>(base + qsize, universe); ++q) {
+      request.queries.push_back(q);
+    }
+    const service::QueryResponse response = service.Query(std::move(request));
+    CSR_CHECK(response.status.ok()) << response.status.ToString();
+  }
+}
+
+/// Hit rate over the lookups between two snapshots of one cache's stats,
+/// so the cold misses before `before` do not dilute it.
+inline double SteadyHitRate(const cache::ColumnCacheStats& before,
+                            const cache::ColumnCacheStats& after) {
+  const int64_t lookups =
+      (after.hits + after.misses) - (before.hits + before.misses);
+  return lookups > 0 ? static_cast<double>(after.hits - before.hits) / lookups
+                     : 0.0;
+}
+
+/// The checks of one serving gate, declared up front. Finish() prints one
+/// line per recorded outcome and one per check that never ran, and returns
+/// the exit code: 1 under --enforce=1 (COSIM_ENFORCE) when a check failed or
+/// never ran, else 0.
+class Gates {
+ public:
+  explicit Gates(std::vector<std::string> checks) {
+    for (std::string& name : checks) checks_.push_back({std::move(name)});
+  }
+
+  /// One outcome of `check`, measured on `cell` (printed when set). A
+  /// check recorded on several cells passes only if every outcome does.
+  void AtLeast(const std::string& check, double value, double bound,
+               const std::string& cell = "") {
+    Record(check, value >= bound, value, ">=", bound, cell);
+  }
+  void AtMost(const std::string& check, double value, double bound,
+              const std::string& cell = "") {
+    Record(check, value <= bound, value, "<=", bound, cell);
+  }
+
+  int Finish() const {
+    for (const std::string& line : lines_) std::printf("%s\n", line.c_str());
+    bool pass = true;
+    for (const Check& c : checks_) {
+      if (!c.ran) std::printf("gate %s: never ran FAIL\n", c.name.c_str());
+      pass = pass && c.ran && c.pass;
+    }
+    const bool enforce = GetEnvInt64("COSIM_ENFORCE", 0) != 0;
+    std::printf("gates: %s%s\n", pass ? "PASS" : "FAIL",
+                enforce ? "" : " (informational; --enforce=1 makes a failure "
+                               "exit 1)");
+    return enforce && !pass ? 1 : 0;
+  }
+
+ private:
+  struct Check {
+    std::string name;
+    bool ran = false;
+    bool pass = true;
+  };
+
+  void Record(const std::string& check, bool pass, double value,
+              const char* op, double bound, const std::string& cell) {
+    for (Check& c : checks_) {
+      if (c.name != check) continue;
+      c.ran = true;
+      c.pass = c.pass && pass;
+      std::string line =
+          StrPrintf("gate %s: %.4g %s %.4g", check.c_str(), value, op, bound);
+      if (!cell.empty()) line += " (" + cell + ")";
+      lines_.push_back(line + (pass ? " ok" : " FAIL"));
+      return;
+    }
+    CSR_CHECK(false) << "undeclared gate check '" << check << "'";
+  }
+
+  std::vector<Check> checks_;
+  std::vector<std::string> lines_;
+};
 
 }  // namespace csrplus::bench
 

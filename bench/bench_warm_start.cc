@@ -8,8 +8,8 @@
 // page-in and checksums to first touch, so time-to-first-result is bounded
 // by the pages one query actually reads, not the whole file.
 //
-// Gate (enforced when COSIM_WARM_ENFORCE=1, the CI smoke mode): at rank
-// COSIM_WARM_RANK (default 128) on a synthetic graph,
+// Gate (--enforce=1): at rank 128 on a synthetic graph of COSIM_WARM_N
+// nodes,
 //   1. mmap load + first query completes in <= 0.2x the heap-verified
 //      load + first query time (the zero-copy warm-start claim), and
 //   2. steady-state mapped QPS is within 5% of heap QPS (views serve as
@@ -29,6 +29,9 @@ namespace {
 
 using namespace csrplus;
 using namespace csrplus::bench;
+
+constexpr Index kGateRank = 128;
+constexpr int kSteadyQueries = 200;
 
 struct ArmResult {
   double load_seconds = 0.0;         // LoadPrecompute wall time
@@ -161,19 +164,13 @@ int main(int argc, char** argv) {
 
   // --- Load-mode gate: heap-verified vs mmap at serving rank. -------------
   const Index gate_n = static_cast<Index>(GetEnvInt64("COSIM_WARM_N", 20000));
-  const Index gate_rank =
-      static_cast<Index>(GetEnvInt64("COSIM_WARM_RANK", 128));
-  const int steady_queries =
-      static_cast<int>(GetEnvInt64("COSIM_WARM_QUERIES", 200));
-  const bool enforce = GetEnvInt64("COSIM_WARM_ENFORCE", 0) != 0;
-
   std::printf("\n--- load-mode gate: n=%ld rank=%ld, %d steady queries ---\n",
-              static_cast<long>(gate_n), static_cast<long>(gate_rank),
-              steady_queries);
+              static_cast<long>(gate_n), static_cast<long>(kGateRank),
+              kSteadyQueries);
   auto gate_graph = graph::ErdosRenyi(gate_n, 8 * gate_n, 0x3A9);
   CSR_CHECK(gate_graph.ok()) << gate_graph.status().ToString();
   core::CsrPlusOptions gate_options;
-  gate_options.rank = std::min<Index>(gate_rank, gate_n);
+  gate_options.rank = std::min<Index>(kGateRank, gate_n);
   gate_options.damping = config.damping;
   auto gate_engine = core::CsrPlusEngine::Precompute(*gate_graph,
                                                      gate_options);
@@ -183,9 +180,9 @@ int main(int argc, char** argv) {
   CSR_CHECK(gate_saved.ok()) << gate_saved.ToString();
 
   auto heap_arm = RunArm(gate_path, core::LoadMode::kHeapVerified, gate_n,
-                         steady_queries);
+                         kSteadyQueries);
   auto mmap_arm =
-      RunArm(gate_path, core::LoadMode::kMapped, gate_n, steady_queries);
+      RunArm(gate_path, core::LoadMode::kMapped, gate_n, kSteadyQueries);
   CSR_CHECK(heap_arm.ok()) << heap_arm.status().ToString();
   CSR_CHECK(mmap_arm.ok()) << mmap_arm.status().ToString();
 
@@ -207,33 +204,12 @@ int main(int argc, char** argv) {
       heap_arm->load_seconds + heap_arm->first_query_seconds;
   const double mmap_ttfr =
       mmap_arm->load_seconds + mmap_arm->first_query_seconds;
-  const double ttfr_ratio = mmap_ttfr / heap_ttfr;
-  const double qps_ratio = mmap_arm->steady_qps / heap_arm->steady_qps;
-  std::printf("\nmmap/heap time-to-first-result ratio: %.3f (gate <= 0.2)\n",
-              ttfr_ratio);
-  std::printf("mmap/heap steady QPS ratio: %.3f (gate >= 0.95)\n", qps_ratio);
-
-  int code = 0;
-  if (enforce) {
-    if (!(ttfr_ratio <= 0.2)) {
-      std::fprintf(stderr,
-                   "GATE FAIL: mmap load+first-query is %.3fx heap "
-                   "(need <= 0.2x)\n",
-                   ttfr_ratio);
-      code = 1;
-    }
-    if (!(qps_ratio >= 0.95)) {
-      std::fprintf(stderr,
-                   "GATE FAIL: mapped steady QPS is %.3fx heap "
-                   "(need >= 0.95x)\n",
-                   qps_ratio);
-      code = 1;
-    }
-    if (code == 0) {
-      std::printf("GATE OK: zero-copy mmap warm start holds at rank %ld\n",
-                  static_cast<long>(gate_rank));
-    }
-  }
+  std::printf("\n");
   std::filesystem::remove_all(dir);
-  return code;
+
+  Gates gates({"mmap/heap time-to-first-result", "mmap/heap steady QPS"});
+  gates.AtMost("mmap/heap time-to-first-result", mmap_ttfr / heap_ttfr, 0.2);
+  gates.AtLeast("mmap/heap steady QPS",
+                mmap_arm->steady_qps / heap_arm->steady_qps, 0.95);
+  return gates.Finish();
 }

@@ -49,11 +49,12 @@ const char* ServedTierName(ServedTier tier) {
 
 QueryService::QueryService(std::shared_ptr<const core::QueryEngine> engine,
                            ServiceOptions options)
-    : engine_(std::move(engine)), options_(options) {
-  const auto snapshot = engine_.load(std::memory_order_relaxed);
-  CSR_CHECK(snapshot != nullptr) << "QueryService needs an engine";
+    : engine_(std::move(engine)),
+      options_(options),
+      num_nodes_(engine_ != nullptr ? engine_->NumNodes() : 0) {
+  CSR_CHECK(engine_ != nullptr) << "QueryService needs an engine";
   if (options_.approximate_engine != nullptr) {
-    CSR_CHECK(options_.approximate_engine->NumNodes() == snapshot->NumNodes())
+    CSR_CHECK(options_.approximate_engine->NumNodes() == num_nodes_)
         << "the approximate tier must serve the same node set as the exact "
            "engine";
   }
@@ -76,15 +77,18 @@ Status QueryService::PublishEngine(
     return Status::InvalidArgument("PublishEngine: engine must not be null");
   }
   std::lock_guard<std::mutex> lk(publish_mu_);
-  const auto old = engine_.load(std::memory_order_acquire);
-  if (next->NumNodes() != old->NumNodes()) {
+  const auto old = engine_snapshot();
+  if (next->NumNodes() != num_nodes_) {
     return Status::InvalidArgument(
         "PublishEngine: new generation serves a different node count");
   }
   if (next == old) return Status::OK();  // republishing the same snapshot
   const uint64_t old_fp = old->StateFingerprint();
   const uint64_t new_fp = next->StateFingerprint();
-  engine_.store(std::move(next), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> slk(snapshot_mu_);
+    engine_ = std::move(next);
+  }
 
   // RCU grace period: a micro-batch loads the snapshot inside its odd epoch
   // window, so once the epoch observed *after* the swap leaves that window
@@ -152,12 +156,10 @@ Result<QueryService::Ticket> QueryService::Submit(
   if (request.top_k < 0) {
     return Status::InvalidArgument("top_k must be >= 0");
   }
-  // One snapshot load for validation + admission sizing; PublishEngine
-  // guarantees every generation serves the same node count, so the charge
-  // stays right even if a publish lands between here and dispatch.
-  const Index num_nodes =
-      engine_.load(std::memory_order_acquire)->NumNodes();
-  CSR_RETURN_IF_ERROR(core::ValidateQueries(request.queries, num_nodes,
+  // PublishEngine guarantees every generation serves num_nodes_, so the
+  // validation and the admission charge stay right even if a publish lands
+  // between here and dispatch.
+  CSR_RETURN_IF_ERROR(core::ValidateQueries(request.queries, num_nodes_,
                                             core::QueryDuplicates::kReject));
   // The dispatcher never merges past max_batch_queries, but the first
   // request it pops used to be exempt — one oversized request would force
@@ -173,9 +175,15 @@ Result<QueryService::Ticket> QueryService::Submit(
   state->on_done = std::move(on_done);
   state->submit_micros = obs::NowMicros();
   if (request.timeout_micros > 0) {
-    state->deadline_micros = state->submit_micros + request.timeout_micros;
+    // Saturate: a timeout near 2^64 (straight off the wire) means "no
+    // practical deadline", not a sum that wraps to a time already past.
+    const uint64_t headroom = UINT64_MAX - state->submit_micros;
+    state->deadline_micros =
+        request.timeout_micros > headroom
+            ? UINT64_MAX
+            : state->submit_micros + request.timeout_micros;
   }
-  state->admission_bytes = AdmissionBytes(num_nodes, request.queries.size());
+  state->admission_bytes = AdmissionBytes(num_nodes_, request.queries.size());
   state->request = std::move(request);
 
   {
@@ -510,7 +518,7 @@ void QueryService::DispatcherLoop() {
     // has not yet invalidated.
     batch_epoch_.fetch_add(1, std::memory_order_acq_rel);
     const std::shared_ptr<const core::QueryEngine> snapshot =
-        engine_.load(std::memory_order_acquire);
+        engine_snapshot();
 
     // Union of the batch's query sets, first occurrence fixing the column.
     std::vector<Index> union_queries;

@@ -24,13 +24,13 @@
 // before per-request mutex, everywhere.
 //
 // Live mutation (docs/mutations.md): the service serves an *engine
-// snapshot* held in an atomic shared_ptr. Queries pin the current snapshot
-// for the duration of one micro-batch; writers build the next generation
-// off-path (clone + ApplyUpdates) and hand it to PublishEngine, which swaps
-// the pointer, waits out the at-most-one in-flight batch on the old
-// snapshot (RCU grace period — readers never block on writers, writers wait
-// only for batches already running), and then drops exactly the cached
-// columns the update invalidated.
+// snapshot*, a mutex-guarded shared_ptr that the dispatcher copies once per
+// micro-batch, pinning that generation for the batch; writers build the
+// next generation off-path (clone + ApplyUpdates) and hand it to
+// PublishEngine, which swaps the pointer, waits out the at-most-one
+// in-flight batch on the old snapshot (RCU grace period — readers never
+// block on writers, writers wait only for batches already running), and
+// then drops exactly the cached columns the update invalidated.
 
 #ifndef CSRPLUS_SERVICE_QUERY_SERVICE_H_
 #define CSRPLUS_SERVICE_QUERY_SERVICE_H_
@@ -86,8 +86,8 @@ struct ServiceOptions {
   /// Cap on distinct queries merged into one micro-batch.
   Index max_batch_queries = 64;
   /// Cap on requests coalesced into one micro-batch. 1 runs every request
-  /// alone — the serialized A/B arm used by bench_service_throughput;
-  /// results are identical either way.
+  /// alone (`csrplus serve --no-coalesce`); results are bit-identical
+  /// either way.
   int max_batch_requests = 16;
   /// Optional column cache consulted before every micro-batch evaluation:
   /// cached columns are scattered directly, only the miss set goes through
@@ -213,14 +213,13 @@ class QueryService {
   const ServiceOptions& options() const { return options_; }
   /// The current engine snapshot (pins the generation while held).
   std::shared_ptr<const core::QueryEngine> engine_snapshot() const {
-    return engine_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lk(snapshot_mu_);
+    return engine_;
   }
   /// Reference convenience — only safe when no PublishEngine can run
   /// concurrently (tests, single-generation setups); the reference does not
   /// pin the snapshot.
-  const core::QueryEngine& engine() const {
-    return *engine_.load(std::memory_order_acquire);
-  }
+  const core::QueryEngine& engine() const { return *engine_snapshot(); }
 
  private:
   struct RequestState;
@@ -294,10 +293,14 @@ class QueryService {
   void FinishLocked(RequestState* state, QueryResponse response);
   void CancelRequest(const std::shared_ptr<RequestState>& state);
 
-  /// The served engine snapshot. Readers (Submit, the dispatcher) load it
-  /// with acquire; PublishEngine swaps it. Never null.
-  std::atomic<std::shared_ptr<const core::QueryEngine>> engine_;
+  /// The served engine snapshot, guarded by snapshot_mu_. The dispatcher
+  /// copies it once per batch; PublishEngine swaps it. Never null.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const core::QueryEngine> engine_;
   const ServiceOptions options_;
+  /// Node count of every generation: fixed at construction, enforced by
+  /// PublishEngine, so Submit validates without touching the snapshot.
+  const Index num_nodes_;
   /// Serialises concurrent PublishEngine calls (grace wait + eviction must
   /// not interleave between two publishers).
   std::mutex publish_mu_;

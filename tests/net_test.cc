@@ -13,10 +13,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -644,8 +646,23 @@ TEST(NetServerTest, PipelineCapRejectsFloodWithResourceExhaustedFrames) {
   auto gated = std::make_shared<GatedEngine>(engine.get());
   gated->Close();  // hold the dispatcher: nothing completes until Open()
   service::QueryService service(gated);
+  // The router sees every query frame the worker decodes, before the
+  // pipeline check; counting its calls tells the test when the server has
+  // taken in the whole flood.
+  std::mutex mu;
+  std::condition_variable cv;
+  int frames_routed = 0;
+  const ServerOptions::Route route{&service, nullptr, nullptr};
   ServerOptions server_options;
   server_options.max_pipeline = 2;
+  server_options.router = [&](const std::string&) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      ++frames_routed;
+    }
+    cv.notify_all();
+    return &route;
+  };
   Server server(&service, server_options);
   ASSERT_TRUE(server.Start().ok());
   auto client = Client::Connect("127.0.0.1", server.port());
@@ -654,12 +671,18 @@ TEST(NetServerTest, PipelineCapRejectsFloodWithResourceExhaustedFrames) {
   // Flood 20 pipelined requests. The first two occupy the connection's
   // pipeline budget; the other 18 must be answered kResourceExhausted —
   // deterministically, because frames on one connection are handled in
-  // order and nothing can complete while the engine is gated.
+  // order and nothing completes until the gate opens, which waits for the
+  // server to have routed all 20. The worker that routed the last frame
+  // finishes handling it before it can pump the first two replies.
   constexpr int kFlood = 20;
   for (int i = 0; i < kFlood; ++i) {
     WireRequest request;
     request.queries = {static_cast<int64_t>(i % 50)};
     ASSERT_TRUE(client->Send(request).ok()) << "request " << i;
+  }
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return frames_routed == kFlood; });
   }
   gated->Open();
 

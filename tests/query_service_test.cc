@@ -228,6 +228,65 @@ TEST(QueryServiceTest, DeadlineExpiredInQueueReturnsTypedError) {
   blocker_ticket->Wait();
 }
 
+TEST(QueryServiceTest, HugeTimeoutSaturatesInsteadOfExpiring) {
+  // A wire deadline_micros is an arbitrary u64. Added to the submit time it
+  // must saturate: a wrapped sum would lie in the past and fail the request
+  // before it ever ran.
+  auto engine = MakeEngine();
+  QueryService service(engine);
+  for (uint64_t timeout : {UINT64_MAX, UINT64_MAX - 1, uint64_t{1} << 63}) {
+    QueryRequest request;
+    request.queries = {3, 41};
+    request.timeout_micros = timeout;
+    QueryResponse response = service.Query(std::move(request));
+    EXPECT_TRUE(response.status.ok())
+        << "timeout " << timeout << ": " << response.status.ToString();
+  }
+}
+
+TEST(QueryServiceTest, SerializedDispatchMatchesCoalescingBitForBit) {
+  // max_batch_requests = 1 (`csrplus serve --no-coalesce`) runs every
+  // request in its own engine call; the answers must not change.
+  auto engine = MakeEngine();
+  const std::vector<std::vector<Index>> sets = {
+      {1, 2, 3}, {2, 3, 4}, {50, 2}, {99, 1, 50}, {7}, {3, 7, 99}};
+
+  const auto run = [&](int max_batch_requests) {
+    auto gated = std::make_shared<GatedEngine>(engine.get());
+    gated->Close();  // queue every request before the dispatcher runs one
+    ServiceOptions options;
+    options.max_batch_requests = max_batch_requests;
+    QueryService service(gated, options);
+    std::vector<QueryService::Ticket> tickets;
+    for (const auto& queries : sets) {
+      QueryRequest request;
+      request.queries = queries;
+      auto ticket = service.Submit(std::move(request));
+      CSR_CHECK(ticket.ok()) << ticket.status().ToString();
+      tickets.push_back(std::move(*ticket));
+    }
+    gated->Open();
+    std::vector<QueryResponse> responses;
+    for (auto& ticket : tickets) responses.push_back(ticket.Wait());
+    return responses;
+  };
+
+  const std::vector<QueryResponse> serialized = run(1);
+  const std::vector<QueryResponse> coalesced = run(16);
+  int widest_coalesced = 0;
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    ASSERT_TRUE(serialized[i].status.ok()) << serialized[i].status.ToString();
+    ASSERT_TRUE(coalesced[i].status.ok()) << coalesced[i].status.ToString();
+    EXPECT_EQ(serialized[i].batch_requests, 1) << "request " << i;
+    EXPECT_TRUE(serialized[i].scores == coalesced[i].scores)
+        << "request " << i << ": serialized answer differs from coalesced";
+    widest_coalesced = std::max(widest_coalesced, coalesced[i].batch_requests);
+  }
+  // The coalescing arm really merged something (the first request may run
+  // alone; the five queued behind it share one batch).
+  EXPECT_GT(widest_coalesced, 1);
+}
+
 TEST(QueryServiceTest, CancelWhileQueuedCompletesImmediately) {
   auto engine = MakeEngine();
   auto gated = std::make_shared<GatedEngine>(engine.get());
