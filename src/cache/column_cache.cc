@@ -1,283 +1,129 @@
 #include "cache/column_cache.h"
 
 #include <algorithm>
-#include <list>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
+#include <iterator>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "common/memory.h"
 #include "linalg/kernels/kernels.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 
 namespace csrplus::cache {
-namespace {
 
-constexpr int kMaxShards = 256;
-
-// Mixes the key into a shard index. Splitmix64 finalizer — cheap and good
-// enough to spread consecutive node ids of one engine across shards.
-uint64_t MixKey(uint64_t fingerprint, Index node) {
-  uint64_t x = fingerprint ^ (static_cast<uint64_t>(node) * 0x9E3779B97F4A7C15ULL);
+// Splitmix64 finalizer over the mixed key — cheap, and spreads consecutive
+// node ids of one engine across buckets.
+std::size_t ColumnCache::KeyHash::operator()(const Key& k) const {
+  uint64_t x =
+      k.fingerprint ^ (static_cast<uint64_t>(k.node) * 0x9E3779B97F4A7C15ULL);
   x ^= x >> 30;
   x *= 0xBF58476D1CE4E5B9ULL;
   x ^= x >> 27;
   x *= 0x94D049BB133111EBULL;
   x ^= x >> 31;
-  return x;
+  return static_cast<std::size_t>(x);
 }
 
-// Rounds up to a power of two within [1, kMaxShards]. Clamping before the
-// shift loop matters: for inputs near INT_MAX the naive `while (p < x)
-// p <<= 1` overflows p into negative territory (signed-overflow UB) and
-// never terminates.
-int RoundUpPowerOfTwo(int x) {
-  if (x >= kMaxShards) return kMaxShards;
-  int p = 1;
-  while (p < x) p <<= 1;
-  return p;
-}
+ColumnCache::ColumnCache(const ColumnCacheOptions& options)
+    : capacity_bytes_(std::max<int64_t>(0, options.capacity_bytes)) {}
 
-struct Key {
-  uint64_t fingerprint;
-  Index node;
-  bool operator==(const Key& other) const {
-    return fingerprint == other.fingerprint && node == other.node;
+template <typename CopyFn>
+bool ColumnCache::Probe(uint64_t fingerprint, Index node, const CopyFn& copy) {
+  CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kCacheLookup, "node",
+                         static_cast<int64_t>(node));
+  bool hit = false;
+  {
+    // One critical section: find and copy while the entry is pinned by the
+    // lock, so a concurrent eviction can never tear the copy.
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(Key{fingerprint, node});
+    if (it != index_.end()) {
+      copy(it->second->column);
+      lru_.splice(lru_.begin(), lru_, it->second);  // -> MRU
+      ++hits_;
+      hit = true;
+    } else {
+      ++misses_;
+    }
   }
-};
-
-struct KeyHash {
-  std::size_t operator()(const Key& k) const {
-    return static_cast<std::size_t>(MixKey(k.fingerprint, k.node));
+  if (hit) {
+    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.hits", "lookups",
+                            "column-cache lookups served from cache", 1);
+  } else {
+    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.misses", "lookups",
+                            "column-cache lookups that fell through to the "
+                            "engine",
+                            1);
   }
-};
-
-struct Entry {
-  Key key;
-  std::vector<double> column;
-};
-
-}  // namespace
-
-// One lock domain: a mutex guarding an MRU-front intrusive list plus the
-// key -> list-position index, and the shard's slice of the counters.
-struct ColumnCache::Shard {
-  std::mutex mutex;
-  std::list<Entry> lru;  // front = most recently used
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-  int64_t resident_bytes = 0;
-  // Counter slices (guarded by mutex; summed by Stats()).
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t inserts = 0;
-  int64_t evictions = 0;
-  int64_t invalidations = 0;
-  int64_t rejections = 0;
-};
-
-ColumnCache::ColumnCache(const ColumnCacheOptions& options) {
-  int shards = std::clamp(RoundUpPowerOfTwo(std::max(1, options.num_shards)),
-                          1, kMaxShards);
-  capacity_bytes_ = std::max<int64_t>(0, options.capacity_bytes);
-  // A small capacity spread across many shards truncates each shard's slice
-  // toward zero, and every insert would bounce off `bytes >
-  // shard_capacity_bytes_` — a cache that looks configured but can never
-  // cache. Halve the shard count (keeping it a power of two) until each
-  // slice is big enough to hold a plausible answer column.
-  while (shards > 1 && capacity_bytes_ / shards < kMinUsefulShardBytes) {
-    shards /= 2;
-  }
-  shard_capacity_bytes_ = capacity_bytes_ / shards;
-  shard_mask_ = static_cast<uint64_t>(shards - 1);
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  if (shard_capacity_bytes_ < kMinUsefulShardBytes) {
-    CSR_LOG_WARN << "ColumnCache capacity_bytes=" << capacity_bytes_
-                 << " is below the useful minimum (" << kMinUsefulShardBytes
-                 << " bytes); only columns up to " << shard_capacity_bytes_
-                 << " bytes will ever be cached";
-    CSRPLUS_OBS_COUNTER_ADD(
-        "csrplus.cache.geometry_warnings", "caches",
-        "caches constructed with a capacity too small to hold a plausible "
-        "answer column",
-        1);
-  }
-}
-
-ColumnCache::~ColumnCache() = default;
-
-ColumnCache::Shard& ColumnCache::ShardFor(uint64_t fingerprint, Index node) {
-  return *shards_[static_cast<std::size_t>(MixKey(fingerprint, node) >> 32 &
-                                           shard_mask_)];
-}
-
-bool ColumnCache::CountUnfingerprintedMiss() {
-  unfingerprinted_misses_.fetch_add(1, std::memory_order_relaxed);
-  CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.misses", "lookups",
-                          "column-cache lookups that fell through to the "
-                          "engine",
-                          1);
-  return false;
+  return hit;
 }
 
 bool ColumnCache::Lookup(uint64_t fingerprint, Index node, double* dst,
                          int64_t stride, Index n) {
-  CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kCacheLookup, "node",
-                         static_cast<int64_t>(node));
-  // Fingerprint 0 can never be resident (Insert rejects it), so there is
-  // nothing to probe — count the miss without contending on a shard mutex.
-  if (fingerprint == 0) return CountUnfingerprintedMiss();
-  Shard& shard = ShardFor(fingerprint, node);
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(Key{fingerprint, node});
-    if (it != shard.index.end()) {
-      const std::vector<double>& column = it->second->column;
-      CSR_CHECK_EQ(static_cast<Index>(column.size()), n);
-      // Strided copy into the caller's result block via the dispatched
-      // scatter kernel (vectorized on AVX-512).
-      linalg::kernels::F64().scatter(dst, stride, column.data(), n);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // -> MRU
-      ++shard.hits;
-      hit = true;
-    } else {
-      ++shard.misses;
-    }
-  }
-  if (hit) {
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.hits", "lookups",
-                            "column-cache lookups served from cache", 1);
-  } else {
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.misses", "lookups",
-                            "column-cache lookups that fell through to the "
-                            "engine",
-                            1);
-  }
-  return hit;
+  return Probe(fingerprint, node, [&](const std::vector<double>& column) {
+    CSR_CHECK_EQ(static_cast<Index>(column.size()), n);
+    // Strided copy into the caller's result block via the dispatched
+    // scatter kernel (vectorized on AVX-512).
+    linalg::kernels::F64().scatter(dst, stride, column.data(), n);
+  });
 }
 
 bool ColumnCache::Lookup(uint64_t fingerprint, Index node,
                          std::vector<double>* out) {
-  CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kCacheLookup, "node",
-                         static_cast<int64_t>(node));
-  if (fingerprint == 0) {
-    out->clear();
-    return CountUnfingerprintedMiss();
-  }
-  // One critical section: find, size the caller's buffer and copy while the
-  // entry is pinned by the lock. (Sizing in one section and copying in
-  // another would race concurrent eviction — the entry found in the first
-  // could be gone, or a different length, by the second.)
-  Shard& shard = ShardFor(fingerprint, node);
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(Key{fingerprint, node});
-    if (it != shard.index.end()) {
-      const std::vector<double>& column = it->second->column;
-      out->assign(column.begin(), column.end());
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // -> MRU
-      ++shard.hits;
-      hit = true;
-    } else {
-      out->clear();
-      ++shard.misses;
-    }
-  }
-  if (hit) {
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.hits", "lookups",
-                            "column-cache lookups served from cache", 1);
-  } else {
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.misses", "lookups",
-                            "column-cache lookups that fell through to the "
-                            "engine",
-                            1);
-  }
-  return hit;
+  out->clear();
+  return Probe(fingerprint, node,
+               [out](const std::vector<double>& column) { *out = column; });
 }
 
 bool ColumnCache::Insert(uint64_t fingerprint, Index node,
                          const double* column, Index n) {
   CSRPLUS_TRACE_SPAN_ARG(span, obs::spans::kCacheInsert, "node",
                          static_cast<int64_t>(node));
-  Shard& shard = ShardFor(fingerprint, node);
-  const int64_t bytes = static_cast<int64_t>(n) * static_cast<int64_t>(sizeof(double));
+  const int64_t bytes =
+      static_cast<int64_t>(n) * static_cast<int64_t>(sizeof(double));
   bool rejected = false;
   bool inserted = false;
-  int64_t evicted_here = 0;
-  int64_t evicted_bytes = 0;
+  int64_t evicted = 0;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    if (fingerprint == 0 || n <= 0 || bytes > shard_capacity_bytes_) {
-      ++shard.rejections;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (fingerprint == 0 || n <= 0 || bytes > capacity_bytes_) {
+      ++rejections_;
+      rejected = true;
+    } else if (const auto it = index_.find(Key{fingerprint, node});
+               it != index_.end()) {
+      // Bit-identical by contract — just refresh recency.
+      lru_.splice(lru_.begin(), lru_, it->second);
+    } else if (!MemoryBudget::Global()
+                    .TryReserve(resident_bytes_ + bytes, "column cache insert")
+                    .ok()) {
+      // The process-wide budget says the cache's grown footprint no longer
+      // fits. Reject rather than evict: the budget is advisory and global,
+      // so shrinking the cache would not make the reservation meaningful.
+      ++rejections_;
       rejected = true;
     } else {
-      const auto it = shard.index.find(Key{fingerprint, node});
-      if (it != shard.index.end()) {
-        // Bit-identical by contract — just refresh recency.
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      } else if (!MemoryBudget::Global()
-                      .TryReserve(resident_bytes_.load(std::memory_order_relaxed) +
-                                      bytes,
-                                  "column cache insert")
-                      .ok()) {
-        // The process-wide budget says the cache's grown footprint no longer
-        // fits. Reject rather than evict: the budget is advisory and global,
-        // so shrinking this shard would not make the reservation meaningful.
-        ++shard.rejections;
-        rejected = true;
-      } else {
-        while (shard.resident_bytes + bytes > shard_capacity_bytes_ &&
-               !shard.lru.empty()) {
-          Entry& victim = shard.lru.back();
-          const int64_t victim_bytes =
-              static_cast<int64_t>(victim.column.size() * sizeof(double));
-          shard.index.erase(victim.key);
-          shard.lru.pop_back();
-          shard.resident_bytes -= victim_bytes;
-          evicted_bytes += victim_bytes;
-          ++evicted_here;
-        }
-        shard.lru.push_front(
-            Entry{Key{fingerprint, node},
-                  std::vector<double>(column, column + n)});
-        shard.index.emplace(Key{fingerprint, node}, shard.lru.begin());
-        shard.resident_bytes += bytes;
-        ++shard.inserts;
-        inserted = true;
+      while (resident_bytes_ + bytes > capacity_bytes_ && !lru_.empty()) {
+        EraseLocked(std::prev(lru_.end()));
+        ++evicted;
       }
-      shard.evictions += evicted_here;
+      lru_.push_front(Entry{Key{fingerprint, node},
+                            std::vector<double>(column, column + n)});
+      index_.emplace(Key{fingerprint, node}, lru_.begin());
+      resident_bytes_ += bytes;
+      evictions_ += evicted;
+      ++inserts_;
+      inserted = true;
+      PublishResidentLocked();
     }
-  }
-  if (evicted_here > 0 || inserted) {
-    const int64_t delta_bytes = (inserted ? bytes : 0) - evicted_bytes;
-    const int64_t delta_cols = (inserted ? 1 : 0) - evicted_here;
-    const int64_t now_bytes =
-        resident_bytes_.fetch_add(delta_bytes, std::memory_order_relaxed) +
-        delta_bytes;
-    const int64_t now_cols =
-        resident_columns_.fetch_add(delta_cols, std::memory_order_relaxed) +
-        delta_cols;
-    CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_bytes", "bytes",
-                          "bytes of answer columns resident in the cache",
-                          now_bytes);
-    CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_columns", "columns",
-                          "answer columns resident in the cache", now_cols);
   }
   if (inserted) {
     CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.inserts", "columns",
                             "fresh answer columns inserted into the cache", 1);
   }
-  if (evicted_here > 0) {
+  if (evicted > 0) {
     CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.evictions", "columns",
                             "columns evicted LRU-first to stay in capacity",
-                            evicted_here);
+                            evicted);
   }
   if (rejected) {
     CSRPLUS_OBS_COUNTER_ADD(
@@ -290,128 +136,80 @@ bool ColumnCache::Insert(uint64_t fingerprint, Index node,
 
 int64_t ColumnCache::EvictEngine(uint64_t fingerprint) {
   if (fingerprint == 0) return 0;
+  std::lock_guard<std::mutex> lock(mutex_);
   int64_t dropped = 0;
-  int64_t dropped_bytes = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.fingerprint == fingerprint) {
-        const int64_t bytes =
-            static_cast<int64_t>(it->column.size() * sizeof(double));
-        shard.index.erase(it->key);
-        shard.resident_bytes -= bytes;
-        dropped_bytes += bytes;
-        ++dropped;
-        ++shard.invalidations;
-        it = shard.lru.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->key.fingerprint == fingerprint) {
+      it = EraseLocked(it);
+      ++dropped;
+    } else {
+      ++it;
     }
   }
-  if (dropped > 0) {
-    const int64_t now_bytes =
-        resident_bytes_.fetch_sub(dropped_bytes, std::memory_order_relaxed) -
-        dropped_bytes;
-    const int64_t now_cols =
-        resident_columns_.fetch_sub(dropped, std::memory_order_relaxed) -
-        dropped;
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.invalidations", "columns",
-                            "stale-fingerprint columns dropped eagerly",
-                            dropped);
-    CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_bytes", "bytes",
-                          "bytes of answer columns resident in the cache",
-                          now_bytes);
-    CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_columns", "columns",
-                          "answer columns resident in the cache", now_cols);
-  }
+  AccountInvalidationsLocked(dropped);
   return dropped;
 }
 
 int64_t ColumnCache::EvictColumns(uint64_t fingerprint,
                                   const std::vector<Index>& nodes) {
-  if (fingerprint == 0 || nodes.empty()) return 0;
+  if (fingerprint == 0) return 0;
   int64_t dropped = 0;
-  int64_t dropped_bytes = 0;
   // Point lookups, not a scan: the touched set is usually a small fraction
   // of the resident columns (the whole point of delta-aware invalidation).
   for (Index node : nodes) {
-    Shard& shard = ShardFor(fingerprint, node);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(Key{fingerprint, node});
-    if (it == shard.index.end()) continue;
-    const int64_t bytes =
-        static_cast<int64_t>(it->second->column.size() * sizeof(double));
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    shard.resident_bytes -= bytes;
-    dropped_bytes += bytes;
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(Key{fingerprint, node});
+    if (it == index_.end()) continue;
+    EraseLocked(it->second);
+    AccountInvalidationsLocked(1);
     ++dropped;
-    ++shard.invalidations;
-  }
-  if (dropped > 0) {
-    const int64_t now_bytes =
-        resident_bytes_.fetch_sub(dropped_bytes, std::memory_order_relaxed) -
-        dropped_bytes;
-    const int64_t now_cols =
-        resident_columns_.fetch_sub(dropped, std::memory_order_relaxed) -
-        dropped;
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.invalidations", "columns",
-                            "stale-fingerprint columns dropped eagerly",
-                            dropped);
-    CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_bytes", "bytes",
-                          "bytes of answer columns resident in the cache",
-                          now_bytes);
-    CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_columns", "columns",
-                          "answer columns resident in the cache", now_cols);
   }
   return dropped;
 }
 
 void ColumnCache::Clear() {
-  int64_t dropped = 0;
-  int64_t dropped_bytes = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    dropped += static_cast<int64_t>(shard.lru.size());
-    dropped_bytes += shard.resident_bytes;
-    shard.invalidations += static_cast<int64_t>(shard.lru.size());
-    shard.lru.clear();
-    shard.index.clear();
-    shard.resident_bytes = 0;
-  }
-  if (dropped > 0) {
-    resident_bytes_.fetch_sub(dropped_bytes, std::memory_order_relaxed);
-    resident_columns_.fetch_sub(dropped, std::memory_order_relaxed);
-    CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.invalidations", "columns",
-                            "stale-fingerprint columns dropped eagerly",
-                            dropped);
-    CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_bytes", "bytes",
-                          "bytes of answer columns resident in the cache",
-                          resident_bytes_.load(std::memory_order_relaxed));
-    CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_columns", "columns",
-                          "answer columns resident in the cache",
-                          resident_columns_.load(std::memory_order_relaxed));
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  const int64_t dropped = static_cast<int64_t>(lru_.size());
+  for (auto it = lru_.begin(); it != lru_.end();) it = EraseLocked(it);
+  AccountInvalidationsLocked(dropped);
+}
+
+ColumnCache::LruList::iterator ColumnCache::EraseLocked(
+    LruList::iterator it) {
+  resident_bytes_ -= static_cast<int64_t>(it->column.size() * sizeof(double));
+  index_.erase(it->key);
+  return lru_.erase(it);
+}
+
+void ColumnCache::AccountInvalidationsLocked(int64_t dropped) {
+  if (dropped == 0) return;
+  invalidations_ += dropped;
+  CSRPLUS_OBS_COUNTER_ADD("csrplus.cache.invalidations", "columns",
+                          "stale-fingerprint columns dropped eagerly",
+                          dropped);
+  PublishResidentLocked();
+}
+
+void ColumnCache::PublishResidentLocked() const {
+  CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_bytes", "bytes",
+                        "bytes of answer columns resident in the cache",
+                        resident_bytes_);
+  CSRPLUS_OBS_GAUGE_SET("csrplus.cache.resident_columns", "columns",
+                        "answer columns resident in the cache",
+                        static_cast<int64_t>(lru_.size()));
 }
 
 ColumnCacheStats ColumnCache::Stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   ColumnCacheStats stats;
-  stats.misses = unfingerprinted_misses_.load(std::memory_order_relaxed);
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
-    stats.inserts += shard.inserts;
-    stats.evictions += shard.evictions;
-    stats.invalidations += shard.invalidations;
-    stats.rejections += shard.rejections;
-    stats.resident_bytes += shard.resident_bytes;
-    stats.resident_columns += static_cast<int64_t>(shard.lru.size());
-  }
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.inserts = inserts_;
+  stats.evictions = evictions_;
+  stats.invalidations = invalidations_;
+  stats.rejections = rejections_;
+  stats.resident_bytes = resident_bytes_;
+  stats.resident_columns = static_cast<int64_t>(lru_.size());
   return stats;
 }
 

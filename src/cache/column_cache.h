@@ -9,11 +9,14 @@
 // cached n-vector costs one O(n) copy instead of the O(nr) GEMM column.
 //
 // Shape:
-//   * Sharded: the (fingerprint, node) key hashes to one of a power-of-two
-//     number of shards, each with its own mutex, hash map and intrusive LRU
-//     list — lookups on different shards never contend.
-//   * Bounded: per-shard byte capacity (total capacity split evenly);
-//     inserting past it evicts least-recently-used columns first.
+//   * One lock: a single mutex guards one LRU list, one key index and one
+//     set of counters. Each cache serves one QueryService, whose lone
+//     dispatcher thread does every Lookup/Insert; the only other caller is
+//     PublishEngine's eviction on the writer thread, so there is no reader
+//     traffic to spread over shards.
+//   * Bounded: one global LRU over capacity_bytes; inserting past it evicts
+//     least-recently-used columns first, so a cache sized for k columns
+//     keeps any k columns.
 //   * Budget-charged: every insert first asks the global MemoryBudget
 //     whether the cache's total resident bytes plus the incoming column
 //     still fit; over budget the insert is rejected (never evicts on the
@@ -26,8 +29,9 @@
 //     fingerprint stable and reports the touched columns in its
 //     UpdateReceipt, so everything else keeps hitting (docs/mutations.md).
 //
-// Fingerprint 0 is reserved as "engine cannot vouch for its state";
-// Lookup/Insert with fingerprint 0 are no-ops (miss / reject) by contract.
+// Fingerprint 0 is reserved as "engine cannot vouch for its state": it is
+// never inserted, so a fingerprint-0 lookup counts as a miss and a
+// fingerprint-0 insert as a rejection.
 //
 // Instrumented with csrplus.cache.* metrics and cache_lookup/cache_insert
 // spans (reference: docs/observability.md).
@@ -35,9 +39,10 @@
 #ifndef CSRPLUS_CACHE_COLUMN_CACHE_H_
 #define CSRPLUS_CACHE_COLUMN_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <list>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -49,31 +54,18 @@ using linalg::Index;
 
 /// Tuning knobs for ColumnCache.
 struct ColumnCacheOptions {
-  /// Total resident-byte capacity across all shards (columns only; per-entry
-  /// bookkeeping overhead is not charged). Split evenly per shard.
+  /// Resident-byte capacity (columns only; per-entry bookkeeping overhead
+  /// is not charged).
   int64_t capacity_bytes = 256ll << 20;
-  /// Shard count; rounded up to a power of two, clamped to [1, 256]. The
-  /// constructor additionally halves the shard count until every shard can
-  /// hold at least one plausible answer column (kMinUsefulShardBytes) — a
-  /// small capacity spread over many shards would otherwise truncate each
-  /// shard's slice to (near) zero and silently reject every insert.
-  int num_shards = 8;
 };
 
-/// The smallest per-shard capacity the constructor considers useful: one
-/// 8192-node answer column. Shard counts are reduced (never below 1) until
-/// each shard's slice reaches this; a total capacity still smaller than
-/// this logs a startup warning and bumps csrplus.cache.geometry_warnings,
-/// because such a cache can only hold toy columns (or nothing at all).
-inline constexpr int64_t kMinUsefulShardBytes = 64ll << 10;
-
-/// Point-in-time view of the cache counters (aggregated over shards).
+/// Point-in-time view of the cache counters.
 struct ColumnCacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t inserts = 0;
   int64_t evictions = 0;       ///< capacity (LRU) evictions
-  int64_t invalidations = 0;   ///< entries dropped by EvictEngine/Clear
+  int64_t invalidations = 0;   ///< entries dropped by Evict*/Clear
   int64_t rejections = 0;      ///< inserts refused (budget / capacity / fp 0)
   int64_t resident_bytes = 0;
   int64_t resident_columns = 0;
@@ -84,11 +76,10 @@ struct ColumnCacheStats {
   }
 };
 
-/// Thread-safe sharded LRU cache of single-source answer columns.
+/// Thread-safe LRU cache of single-source answer columns.
 class ColumnCache {
  public:
   explicit ColumnCache(const ColumnCacheOptions& options = {});
-  ~ColumnCache();  // out of line: Shard is opaque here
 
   ColumnCache(const ColumnCache&) = delete;
   ColumnCache& operator=(const ColumnCache&) = delete;
@@ -102,13 +93,14 @@ class ColumnCache {
   bool Lookup(uint64_t fingerprint, Index node, double* dst, int64_t stride,
               Index n);
 
-  /// Vector convenience overload (resizes *out to the column length).
+  /// The same lookup at stride 1 into *out, resized to the column length
+  /// (cleared on a miss).
   bool Lookup(uint64_t fingerprint, Index node, std::vector<double>* out);
 
   /// Inserts a copy of column[0..n) under (fingerprint, node), evicting
-  /// least-recently-used entries in the shard if needed for capacity.
-  /// Returns false — and caches nothing — when the fingerprint is 0, the
-  /// column alone exceeds the shard capacity, or the global MemoryBudget
+  /// least-recently-used entries if needed for capacity. Returns false —
+  /// and caches nothing — when the fingerprint is 0, the column alone
+  /// exceeds the capacity, or the global MemoryBudget
   /// refuses the cache's grown footprint. Re-inserting an existing key
   /// refreshes recency but keeps the original bytes (same-fingerprint
   /// answers are bit-identical by contract, so there is nothing to update).
@@ -121,38 +113,58 @@ class ColumnCache {
   /// Drops exactly the entries (fingerprint, node) for the given nodes —
   /// the delta-aware invalidation driven by UpdateReceipt::touched_support.
   /// Absent keys and fingerprint 0 are no-ops. Returns the number of
-  /// entries dropped (counted as invalidations, like EvictEngine).
+  /// entries dropped (counted as invalidations, like EvictEngine). Takes
+  /// the lock once per node, so a large touched set from the writer thread
+  /// never holds off the dispatcher's lookups for the whole loop.
   int64_t EvictColumns(uint64_t fingerprint, const std::vector<Index>& nodes);
 
   /// Drops everything.
   void Clear();
 
-  /// Aggregated counters (consistent per shard, summed across shards).
+  /// A consistent snapshot of the counters.
   ColumnCacheStats Stats() const;
 
-  int64_t capacity_bytes() const { return capacity_bytes_; }
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  int64_t shard_capacity_bytes() const { return shard_capacity_bytes_; }
-
  private:
-  struct Shard;
+  struct Key {
+    uint64_t fingerprint;
+    Index node;
+    bool operator==(const Key& other) const {
+      return fingerprint == other.fingerprint && node == other.node;
+    }
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const;
+  };
+  struct Entry {
+    Key key;
+    std::vector<double> column;
+  };
+  using LruList = std::list<Entry>;
 
-  Shard& ShardFor(uint64_t fingerprint, Index node);
-  /// Counts a fingerprint-0 miss without touching any shard (serving
-  /// threads in front of an uncacheable engine must not contend on locks).
-  bool CountUnfingerprintedMiss();
+  /// Finds (fingerprint, node) under the lock; on a hit calls
+  /// copy(column) while the entry is pinned and promotes it to MRU.
+  template <typename CopyFn>
+  bool Probe(uint64_t fingerprint, Index node, const CopyFn& copy);
+  /// Unlinks `it` from the list and the index and releases its bytes.
+  /// Caller holds mutex_. Returns the next list position.
+  LruList::iterator EraseLocked(LruList::iterator it);
+  /// Counts `dropped` erased entries as invalidations and publishes the
+  /// resident gauges. Caller holds mutex_.
+  void AccountInvalidationsLocked(int64_t dropped);
+  /// Publishes the resident-bytes/columns gauges. Caller holds mutex_.
+  void PublishResidentLocked() const;
 
-  int64_t capacity_bytes_ = 0;        // total, all shards
-  int64_t shard_capacity_bytes_ = 0;  // capacity_bytes_ / num_shards
-  uint64_t shard_mask_ = 0;           // num_shards - 1 (power of two)
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Cross-shard resident totals, kept outside the shard locks so the budget
-  // check and the resident gauges never take more than one shard mutex.
-  std::atomic<int64_t> resident_bytes_{0};
-  std::atomic<int64_t> resident_columns_{0};
-  // Fingerprint-0 lookups never probe a shard; their misses are counted
-  // here and folded into Stats().misses.
-  std::atomic<int64_t> unfingerprinted_misses_{0};
+  const int64_t capacity_bytes_;
+  mutable std::mutex mutex_;  // guards every member below
+  LruList lru_;  // front = most recently used
+  std::unordered_map<Key, LruList::iterator, KeyHash> index_;
+  int64_t resident_bytes_ = 0;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+  int64_t inserts_ = 0;
+  int64_t evictions_ = 0;
+  int64_t invalidations_ = 0;
+  int64_t rejections_ = 0;
 };
 
 }  // namespace csrplus::cache

@@ -38,7 +38,7 @@
 namespace csrplus {
 
 /// Loop body over one shard: fn(shard, begin, end) with begin/end an index
-/// sub-range of [0, n). Shard ids are dense in [0, num_shards).
+/// sub-range of [0, n). Shard ids are dense in [0, shards).
 using ShardFn = std::function<void(int, int64_t, int64_t)>;
 
 /// Process-wide fixed-size pool. Use the free functions below instead of

@@ -30,6 +30,10 @@
 namespace csrplus::net {
 namespace {
 
+// Outgoing-buffer level above which a worker stops reading from the
+// connection until it drains (slow-reader backpressure).
+constexpr std::size_t kWriteBufferSoftBytes = std::size_t{64} << 20;
+
 void CountBytesIn(int64_t n) {
   CSRPLUS_OBS_COUNTER_ADD("csrplus.net.bytes_in", "bytes",
                           "bytes read from client sockets", n);
@@ -88,8 +92,8 @@ struct PendingReply {
   std::string ready;  ///< encoded frame; used when `ticket` is empty
   std::optional<service::QueryService::Ticket> ticket;
   bool wants_topk = false;  ///< request asked for top_k > 0
-  /// Routed requests only: the tenant this reply came from, for its
-  /// per-tenant to_external translation (null = use the server-level hook).
+  /// Ticket replies only: the route the request went through, for its
+  /// to_external translation.
   const ServerOptions::Route* route = nullptr;
 };
 
@@ -105,23 +109,48 @@ struct Connection {
   bool want_write = false;     ///< EPOLLOUT on
 };
 
-// Rewrite the engine indexes in a top-k body as external node ids. Scores
-// and ordering are untouched, so the translated body stays bit-identical
-// to what the in-process path prints after its own translation.
-void MapTopKToExternal(const std::function<int64_t(Index)>& to_external,
-                       std::vector<std::vector<core::ScoredNode>>* topk) {
-  for (std::vector<core::ScoredNode>& column : *topk) {
-    for (core::ScoredNode& entry : column) {
-      entry.node = to_external(entry.node);
+// Encodes the response of a finished ticket reply onto `out`. The event
+// loop and the shutdown drain both encode through here, so a reply carries
+// the same fields whichever path flushes it.
+void AppendTicketReply(PendingReply& reply, std::string* out) {
+  const service::QueryResponse& response = reply.ticket->Wait();
+  WireResponse wire;
+  wire.status_code = static_cast<uint16_t>(response.status.code());
+  wire.message = response.status.message();
+  wire.batch_requests = static_cast<uint32_t>(response.batch_requests);
+  wire.batch_queries = response.batch_queries;
+  wire.wait_micros = response.wait_micros;
+  wire.total_micros = response.total_micros;
+  wire.served_tier = response.served_tier;
+  if (!response.status.ok()) {
+    AppendResponseFrame(wire, out);
+  } else if (reply.wants_topk) {
+    // Rewrite the engine indexes as external node ids. Scores and ordering
+    // are untouched, so the translated body stays bit-identical to what the
+    // in-process path prints after its own translation.
+    wire.topk = response.topk;
+    if (reply.route->to_external) {
+      for (std::vector<core::ScoredNode>& column : wire.topk) {
+        for (core::ScoredNode& entry : column) {
+          entry.node = reply.route->to_external(entry.node);
+        }
+      }
     }
+    AppendResponseFrame(wire, out);
+  } else {
+    // Borrow the score block straight out of the ticket — copying an
+    // n x |Q| matrix into `wire` first costs real socket throughput.
+    AppendResponseFrame(wire, response.scores, out);
   }
 }
 
 }  // namespace
 
 struct Server::Impl {
-  service::QueryService* service;
   ServerOptions options;
+  /// Without a router, every request goes through this identity route to
+  /// the constructor's service.
+  ServerOptions::Route single_route;
 
   int listen_fd = -1;
   int bound_port = 0;
@@ -163,8 +192,8 @@ struct Server::Impl {
 
 Server::Server(service::QueryService* service, ServerOptions options)
     : impl_(std::make_unique<Impl>()) {
-  impl_->service = service;
   impl_->options = std::move(options);
+  impl_->single_route.service = service;
 }
 
 Server::~Server() { Shutdown(); }
@@ -431,7 +460,7 @@ void Server::Impl::ParseFrames(Worker& w, Connection& conn) {
     std::size_t consumed = 0;
     const FrameStatus fs =
         ExtractFrame(conn.rbuf.data() + offset, conn.rsize - offset,
-                     options.max_frame_bytes, &payload, &payload_size,
+                     kMaxRequestFrameBytes, &payload, &payload_size,
                      &consumed);
     if (fs == FrameStatus::kIncomplete) break;
     if (fs == FrameStatus::kTooLarge) {
@@ -439,7 +468,7 @@ void Server::Impl::ParseFrames(Worker& w, Connection& conn) {
       PendingReply reply;
       AppendErrorResponseFrame(
           Status::InvalidArgument("request frame exceeds " +
-                                  std::to_string(options.max_frame_bytes) +
+                                  std::to_string(kMaxRequestFrameBytes) +
                                   " bytes"),
           &reply.ready);
       conn.pending.push_back(std::move(reply));
@@ -494,8 +523,7 @@ void Server::Impl::HandleRequestFrame(Worker& w, Connection& conn,
   // Multi-graph routing (wire v3). With a router, the graph_id picks the
   // tenant; without one this is a single-service server and only the
   // default (empty) graph_id is routable.
-  service::QueryService* target = service;
-  const ServerOptions::Route* route = nullptr;
+  const ServerOptions::Route* route = &single_route;
   if (options.router) {
     route = options.router(request.graph_id);
     if (route == nullptr || route->service == nullptr) {
@@ -508,7 +536,6 @@ void Server::Impl::HandleRequestFrame(Worker& w, Connection& conn,
       conn.pending.push_back(std::move(reply));
       return;
     }
-    target = route->service;
   } else if (!request.graph_id.empty()) {
     CSRPLUS_OBS_COUNTER_ADD("csrplus.net.unknown_graph", "frames",
                             "query frames naming an unknown graph_id", 1);
@@ -526,7 +553,7 @@ void Server::Impl::HandleRequestFrame(Worker& w, Connection& conn,
   // without bound. The pipeline cap bounds tickets per connection; the
   // write-buffer check bounds response bytes a slow reader can pin.
   if (static_cast<int>(conn.pending.size()) >= options.max_pipeline ||
-      conn.wbuf.size() - conn.woff > options.write_buffer_soft_bytes) {
+      conn.wbuf.size() - conn.woff > kWriteBufferSoftBytes) {
     CountFrameRejected();
     PendingReply reply;
     AppendErrorResponseFrame(
@@ -539,7 +566,7 @@ void Server::Impl::HandleRequestFrame(Worker& w, Connection& conn,
   }
 
   service::QueryRequest service_request;
-  const auto& to_internal = route ? route->to_internal : options.to_internal;
+  const auto& to_internal = route->to_internal;
   if (to_internal) {
     service_request.queries.reserve(request.queries.size());
     for (const int64_t external : request.queries) {
@@ -562,7 +589,7 @@ void Server::Impl::HandleRequestFrame(Worker& w, Connection& conn,
   service_request.quality = request.quality;
   service_request.tag = "net";
   auto wake = w.wake;  // shared: the callback may outlive the worker
-  Result<service::QueryService::Ticket> submitted = target->Submit(
+  Result<service::QueryService::Ticket> submitted = route->service->Submit(
       std::move(service_request), [wake] { wake->Notify(); });
   if (!submitted.ok()) {
     CountFrameRejected();
@@ -589,28 +616,7 @@ void Server::Impl::PumpConnection(Worker& w, Connection& conn) {
     }
     if (!front.ticket->Done()) break;  // strict FIFO: wait for the head
     CSRPLUS_TRACE_SPAN(span, obs::spans::kNetWrite);
-    const service::QueryResponse& response = front.ticket->Wait();
-    WireResponse wire;
-    wire.status_code = static_cast<uint16_t>(response.status.code());
-    wire.message = response.status.message();
-    wire.batch_requests = static_cast<uint32_t>(response.batch_requests);
-    wire.batch_queries = response.batch_queries;
-    wire.wait_micros = response.wait_micros;
-    wire.total_micros = response.total_micros;
-    wire.served_tier = response.served_tier;
-    if (response.status.ok() && front.wants_topk) {
-      wire.topk = response.topk;
-      const auto& to_external =
-          front.route ? front.route->to_external : options.to_external;
-      if (to_external) MapTopKToExternal(to_external, &wire.topk);
-    }
-    if (response.status.ok() && !front.wants_topk) {
-      // Borrow the score block straight out of the ticket — copying an
-      // n x |Q| matrix into `wire` first costs real socket throughput.
-      AppendResponseFrame(wire, response.scores, &conn.wbuf);
-    } else {
-      AppendResponseFrame(wire, &conn.wbuf);
-    }
+    AppendTicketReply(front, &conn.wbuf);
     conn.pending.pop_front();
   }
   if (!FlushWrites(w, conn)) {
@@ -621,7 +627,7 @@ void Server::Impl::PumpConnection(Worker& w, Connection& conn) {
   // Slow-reader backpressure: stop reading while the outgoing buffer is
   // over the soft cap; resume once it drains.
   const std::size_t backlog = conn.wbuf.size() - conn.woff;
-  const bool should_pause = backlog > options.write_buffer_soft_bytes;
+  const bool should_pause = backlog > kWriteBufferSoftBytes;
   if (should_pause != conn.reading_paused) {
     conn.reading_paused = should_pause;
     UpdateEpoll(w, conn);
@@ -687,27 +693,7 @@ void Server::Impl::DrainWorker(Worker& w) {
       PendingReply& front = conn->pending.front();
       if (front.ticket.has_value()) {
         front.ticket->Cancel();
-        const service::QueryResponse& response = front.ticket->Wait();
-        WireResponse wire;
-        wire.status_code = static_cast<uint16_t>(response.status.code());
-        wire.message = response.status.message();
-        wire.batch_requests = static_cast<uint32_t>(response.batch_requests);
-        wire.batch_queries = response.batch_queries;
-        wire.wait_micros = response.wait_micros;
-        wire.total_micros = response.total_micros;
-        if (response.status.ok() && front.wants_topk) {
-          wire.topk = response.topk;
-          const auto& to_external =
-              front.route ? front.route->to_external : options.to_external;
-          if (to_external) {
-            MapTopKToExternal(to_external, &wire.topk);
-          }
-        }
-        if (response.status.ok() && !front.wants_topk) {
-          AppendResponseFrame(wire, response.scores, &conn->wbuf);
-        } else {
-          AppendResponseFrame(wire, &conn->wbuf);
-        }
+        AppendTicketReply(front, &conn->wbuf);
       } else {
         conn->wbuf.append(front.ready);
       }

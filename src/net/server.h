@@ -22,11 +22,10 @@
 //     outlive their deadline produce kDeadlineExceeded. The client always
 //     gets a status frame — the server never buffers unboundedly on behalf
 //     of a flooding client.
-//   * When a connection's outgoing buffer exceeds
-//     `write_buffer_soft_bytes` (a slow reader), the worker stops reading
-//     from that socket until the buffer drains — the kernel's TCP window
-//     then pushes back on the client.
-//   * A request frame larger than `max_frame_bytes`, or one that fails to
+//   * When a connection's outgoing buffer exceeds a 64 MiB soft cap (a slow
+//     reader), the worker stops reading from that socket until the buffer
+//     drains — the kernel's TCP window then pushes back on the client.
+//   * A request frame larger than kMaxRequestFrameBytes, or one that fails to
 //     decode, is answered with an error frame and the connection is closed
 //     (a garbage stream cannot be re-synchronised).
 //
@@ -58,25 +57,15 @@ struct ServerOptions {
   /// Unanswered requests allowed per connection before the server answers
   /// kResourceExhausted instead of admitting more.
   int max_pipeline = 64;
-  /// Decode-side cap on one request frame.
-  std::size_t max_frame_bytes = kMaxRequestFrameBytes;
-  /// Outgoing-buffer level above which the worker stops reading from the
-  /// connection until it drains (slow-reader backpressure).
-  std::size_t write_buffer_soft_bytes = std::size_t{64} << 20;
-  /// Optional node-id translation between the wire and the engine, for
-  /// graphs whose original ids were compacted at load time (e.g. sparse
-  /// SNAP ids). `to_internal` maps each request query id to an engine
-  /// index (a non-OK status is returned to the client as an error frame);
-  /// `to_external` maps node ids in top-k responses back. Unset = identity.
-  /// Both must be thread-safe: workers call them concurrently. Column
-  /// bodies are positional (engine node order) and are never translated.
-  std::function<Result<Index>(int64_t)> to_internal;
-  std::function<int64_t(Index)> to_external;
 
-  /// One routing target for multi-graph serving: the tenant's service plus
-  /// its own id translation (tenants load different graphs, so the
-  /// compaction maps differ per tenant). Same thread-safety contract as the
-  /// top-level translation hooks.
+  /// One routing target: a service plus its node-id translation between
+  /// the wire and the engine, for graphs whose original ids were compacted
+  /// at load time (e.g. sparse SNAP ids). `to_internal` maps each request
+  /// query id to an engine index (a non-OK status is returned to the client
+  /// as an error frame); `to_external` maps node ids in top-k responses
+  /// back. Unset = identity. Both must be thread-safe: workers call them
+  /// concurrently. Column bodies are positional (engine node order) and are
+  /// never translated. Tenants load different graphs, so each has its own.
   struct Route {
     service::QueryService* service = nullptr;
     std::function<Result<Index>(int64_t)> to_internal;
@@ -84,13 +73,12 @@ struct ServerOptions {
   };
   /// Multi-graph routing hook (wire v3 `graph_id` -> tenant). When set, each
   /// query request is dispatched to `router(graph_id)` — typically a thin
-  /// wrapper over service::EngineRegistry::Route — and the top-level
-  /// `to_internal`/`to_external` are ignored in favour of the route's own.
-  /// Returning null answers the request with kNotFound. The returned Route
-  /// must stay valid for the server's lifetime (tenant addresses are stable
-  /// in the registry). Pings are answered without routing. When unset the
-  /// server is single-service: every request goes to the constructor's
-  /// service, and a non-empty graph_id is answered with kNotFound.
+  /// wrapper over service::EngineRegistry::Route. Returning null answers
+  /// the request with kNotFound. The returned Route must stay valid for the
+  /// server's lifetime (tenant addresses are stable in the registry). Pings
+  /// are answered without routing. When unset the server is single-service:
+  /// every request goes to the constructor's service through an identity
+  /// Route, and a non-empty graph_id is answered with kNotFound.
   std::function<const Route*(const std::string&)> router;
 };
 

@@ -190,7 +190,6 @@ Status EngineRegistry::AddBuiltTenant(
   if (options.cache_capacity_bytes > 0) {
     cache::ColumnCacheOptions cache_options;
     cache_options.capacity_bytes = options.cache_capacity_bytes;
-    cache_options.num_shards = options.cache_shards;
     tenant->cache = std::make_unique<cache::ColumnCache>(cache_options);
   }
   ServiceOptions service_options = options.service;

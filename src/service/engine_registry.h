@@ -105,7 +105,6 @@ struct TenantOptions {
   ServiceOptions service;
   /// The tenant's column-cache capacity slice. 0 = no cache.
   int64_t cache_capacity_bytes = 0;
-  int cache_shards = 8;
 };
 
 /// Named engines + services, one per served graph. Thread-safe; tenants are

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -98,7 +97,6 @@ TEST(ColumnCacheTest, StridedLookupScattersIntoMatrixColumn) {
 
 TEST(ColumnCacheTest, LruEvictionOrderWithinOneShard) {
   ColumnCacheOptions options;
-  options.num_shards = 1;
   options.capacity_bytes = 2 * 4 * static_cast<int64_t>(sizeof(double));
   ColumnCache cache(options);
   const auto a = MakeColumn(4, 1.0), b = MakeColumn(4, 2.0),
@@ -117,9 +115,28 @@ TEST(ColumnCacheTest, LruEvictionOrderWithinOneShard) {
   EXPECT_EQ(stats.resident_columns, 2);
 }
 
+TEST(ColumnCacheTest, CapacityForKColumnsKeepsAnyKColumns) {
+  // One LRU over the whole capacity: a cache sized for 8 columns keeps any 8
+  // columns, whatever their keys hash to.
+  constexpr Index kLength = 8192;
+  ColumnCacheOptions options;
+  options.capacity_bytes = 8 * kLength * static_cast<int64_t>(sizeof(double));
+  ColumnCache cache(options);
+  for (Index node = 0; node < 8; ++node) {
+    const auto column = MakeColumn(kLength, static_cast<double>(node));
+    ASSERT_TRUE(cache.Insert(1, node, column.data(), kLength));
+  }
+  std::vector<double> out;
+  for (Index node = 0; node < 8; ++node) {
+    EXPECT_TRUE(cache.Lookup(1, node, &out)) << "node " << node;
+  }
+  const ColumnCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.resident_columns, 8);
+}
+
 TEST(ColumnCacheTest, DuplicateInsertRefreshesRecency) {
   ColumnCacheOptions options;
-  options.num_shards = 1;
   options.capacity_bytes = 2 * 4 * static_cast<int64_t>(sizeof(double));
   ColumnCache cache(options);
   const auto a = MakeColumn(4, 1.0), b = MakeColumn(4, 2.0),
@@ -137,7 +154,6 @@ TEST(ColumnCacheTest, DuplicateInsertRefreshesRecency) {
 
 TEST(ColumnCacheTest, OversizeColumnIsRejected) {
   ColumnCacheOptions options;
-  options.num_shards = 1;
   options.capacity_bytes = 8;  // one double
   ColumnCache cache(options);
   const auto column = MakeColumn(4, 1.0);
@@ -147,7 +163,7 @@ TEST(ColumnCacheTest, OversizeColumnIsRejected) {
 }
 
 TEST(ColumnCacheTest, BudgetExhaustionRejectsInsert) {
-  ColumnCache cache;  // plenty of shard capacity
+  ColumnCache cache;  // plenty of capacity
   const auto column = MakeColumn(64, 1.0);
   ScopedMemoryBudget tiny(64);  // smaller than one column (64 * 8 bytes)
   EXPECT_FALSE(cache.Insert(1, 0, column.data(), 64));
@@ -191,48 +207,15 @@ TEST(ColumnCacheTest, ClearDropsEverything) {
   EXPECT_FALSE(cache.Lookup(9, 0, &out));
 }
 
-TEST(ColumnCacheTest, TinyCapacitySpreadOverManyShardsIsReclamped) {
-  // 1 MiB over 256 requested shards would leave 4 KiB per shard — below the
-  // useful minimum. The constructor halves the shard count until each slice
-  // can hold a plausible column again.
-  ColumnCacheOptions options;
-  options.capacity_bytes = 1ll << 20;
-  options.num_shards = 256;
-  ColumnCache cache(options);
-  EXPECT_EQ(cache.num_shards(), 16);
-  EXPECT_EQ(cache.shard_capacity_bytes(), 64ll << 10);
-  // A 4 KiB column (512 doubles) fits where the unclamped geometry would
-  // have truncated the shard slice to 4 KiB and rejected anything real.
-  const auto column = MakeColumn(512, 1.0);
-  EXPECT_TRUE(cache.Insert(1, 0, column.data(), 512));
-  std::vector<double> out;
-  EXPECT_TRUE(cache.Lookup(1, 0, &out));
-  EXPECT_EQ(out, column);
-}
-
 TEST(ColumnCacheTest, ZeroCapacityDoesNotCrashAndRejectsInserts) {
   ColumnCacheOptions options;
   options.capacity_bytes = 0;
-  options.num_shards = 64;
   ColumnCache cache(options);
-  EXPECT_EQ(cache.num_shards(), 1);  // halved all the way down
   const auto column = MakeColumn(4, 1.0);
   EXPECT_FALSE(cache.Insert(1, 0, column.data(), 4));
   std::vector<double> out;
   EXPECT_FALSE(cache.Lookup(1, 0, &out));
   EXPECT_EQ(cache.Stats().resident_columns, 0);
-}
-
-TEST(ColumnCacheTest, HugeShardCountDoesNotOverflowOrHang) {
-  // RoundUpPowerOfTwo(INT_MAX) used to loop `p <<= 1` past the largest
-  // power of two into signed overflow — an infinite loop in practice.
-  ColumnCacheOptions options;
-  options.num_shards = std::numeric_limits<int>::max();
-  ColumnCache cache(options);  // must return promptly
-  EXPECT_LE(cache.num_shards(), 256);
-  EXPECT_GE(cache.num_shards(), 1);
-  const auto column = MakeColumn(4, 1.0);
-  EXPECT_TRUE(cache.Insert(1, 0, column.data(), 4));
 }
 
 TEST(ColumnCacheTest, UnfingerprintedLookupsCountMissesWithoutShardState) {
@@ -262,12 +245,11 @@ TEST(ColumnCacheTest, VectorLookupHitCountsExactlyOnce) {
 }
 
 TEST(ColumnCacheTest, LookupUnderConcurrentEvictionKeepsExactAccounting) {
-  // One tiny shard so inserts continuously evict while readers race the
+  // A tiny capacity so inserts continuously evict while readers race the
   // vector-overload Lookup: the returned copy must always be a complete
   // column (never a torn read), and hits + misses must equal the number of
   // lookups exactly — the TOCTOU double-find used to double-count misses.
   ColumnCacheOptions options;
-  options.num_shards = 1;
   options.capacity_bytes = 4 * 8 * static_cast<int64_t>(sizeof(double));
   ColumnCache cache(options);
   constexpr int kNodes = 16;

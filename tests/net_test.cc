@@ -55,12 +55,14 @@ std::shared_ptr<const core::CsrPlusEngine> MakeEngine(Index nodes = 100,
 
 /// An engine wrapper whose queries block until released (mirrors the one in
 /// query_service_test.cc) — pins the dispatcher so requests pile up.
+/// Entered() turns true once a query is running inside the gate.
 class GatedEngine : public core::QueryEngine {
  public:
   explicit GatedEngine(const core::QueryEngine* inner) : inner_(inner) {}
 
   Result<linalg::DenseMatrix> MultiSourceQuery(
       const std::vector<Index>& queries) const override {
+    entered_.store(true);
     while (gated_.load()) std::this_thread::yield();
     return inner_->MultiSourceQuery(queries);
   }
@@ -72,10 +74,12 @@ class GatedEngine : public core::QueryEngine {
 
   void Open() { gated_.store(false); }
   void Close() { gated_.store(true); }
+  bool Entered() const { return entered_.load(); }
 
  private:
   const core::QueryEngine* inner_;
   mutable std::atomic<bool> gated_{false};
+  mutable std::atomic<bool> entered_{false};
 };
 
 // ---------------------------------------------------------------------------
@@ -479,12 +483,13 @@ TEST(NetServerTest, PingAndQueryMatchInProcessServiceBitIdentically) {
 TEST(NetServerTest, IdTranslationHooksMapWireIdsBothWays) {
   // Mirrors the CLI's text-graph serving path, where sparse original node
   // ids were compacted at load time: the wire speaks external ids, the
-  // engine internal indexes. Hooks here shift by 1000.
+  // engine internal indexes. The route's hooks here shift by 1000.
   auto engine = MakeEngine();
   const int64_t n = engine->NumNodes();
   service::QueryService service(engine);
-  ServerOptions server_options;
-  server_options.to_internal = [n](int64_t external) -> Result<Index> {
+  ServerOptions::Route route;
+  route.service = &service;
+  route.to_internal = [n](int64_t external) -> Result<Index> {
     const int64_t internal = external - 1000;
     if (internal < 0 || internal >= n) {
       return Status::NotFound("node id " + std::to_string(external) +
@@ -492,8 +497,12 @@ TEST(NetServerTest, IdTranslationHooksMapWireIdsBothWays) {
     }
     return static_cast<Index>(internal);
   };
-  server_options.to_external = [](Index internal) {
+  route.to_external = [](Index internal) {
     return static_cast<int64_t>(internal) + 1000;
+  };
+  ServerOptions server_options;
+  server_options.router = [&route](const std::string& graph_id) {
+    return graph_id.empty() ? &route : nullptr;
   };
   Server server(&service, server_options);
   ASSERT_TRUE(server.Start().ok());
@@ -739,6 +748,45 @@ TEST(NetServerTest, ShutdownWithConnectedClientsDrainsInFlightRequests) {
     ++frames;
   }
   EXPECT_LE(frames, 3);
+  service.Shutdown();
+}
+
+TEST(NetServerTest, ReplyDrainedAtShutdownKeepsItsServedTier) {
+  // A request the engine is still running when the server shuts down is
+  // answered by the shutdown drain, not by the event loop; its reply must
+  // still carry the tier that served it.
+  auto engine = MakeEngine();
+  auto gated = std::make_shared<GatedEngine>(engine.get());
+  gated->Close();
+  service::QueryService service(gated);
+  Server server(&service, {});
+  ASSERT_TRUE(server.Start().ok());
+  const int port = server.port();
+  auto client = Client::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  WireRequest request;
+  request.queries = {5};
+  ASSERT_TRUE(client->Send(request).ok());
+  while (!gated->Entered()) std::this_thread::yield();
+
+  // Shutdown refuses new connections before it stops the workers. Holding
+  // the gate until then, plus a margin, leaves the drain as the only way
+  // out for the reply.
+  std::thread shutter([&] { server.Shutdown(); });
+  while (Client::Connect("127.0.0.1", port).ok()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gated->Open();
+  shutter.join();
+
+  auto response = client->Receive();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  // The drain cancels the ticket; the running batch still finishes it, as
+  // cancelled, on the exact tier.
+  EXPECT_TRUE(response->ToStatus().IsCancelled())
+      << response->ToStatus().ToString();
+  EXPECT_EQ(response->served_tier, service::ServedTier::kExact);
   service.Shutdown();
 }
 

@@ -569,7 +569,6 @@ TEST(ObsDocumentationTest, EveryEmittedMetricIsDocumented) {
   // cache_lookup / cache_insert spans) registers.
   {
     cache::ColumnCacheOptions cache_options;
-    cache_options.num_shards = 1;
     cache_options.capacity_bytes = 2 * static_cast<int64_t>(sizeof(double));
     cache::ColumnCache cache(cache_options);
     const double value = 1.0;

@@ -87,7 +87,6 @@
 //   --no-coalesce   (serve) disable micro-batching (serialized A/B arm)
 //   --cache-mb=M    (serve) column-cache capacity in MiB, 0 = off
 //                   (default 64)
-//   --no-cache      (serve) disable the column cache entirely
 //   --listen=H:P    (serve) run a real socket server on H:P instead of the
 //                   in-process stress demo (port 0 = ephemeral)
 //   --net-workers=N (serve --listen) epoll worker threads (default 2)
@@ -154,7 +153,6 @@ struct CliOptions {
   Index approx_samples = 32; // serve: RP-CoSim tier sketch width d
   bool no_coalesce = false;  // serve: disable micro-batching
   int cache_mb = 64;         // serve: column-cache capacity (MiB); 0 = off
-  bool no_cache = false;     // serve: disable the column cache
   std::string listen;        // serve: socket mode listen address
   int net_workers = 2;       // serve --listen: epoll worker threads
   std::string graphs;        // serve: NAME=PATH,... tenant spec
@@ -189,9 +187,9 @@ void PrintUsage() {
                "                                 [--deadline-ms=D] "
                "[--no-coalesce]\n"
                "                                 [--cache-mb=M] "
-               "[--no-cache]\n"
-               "                                 [--quality=Q] "
-               "[--shed-depth=N] [--shed-resume=N]\n"
+               "[--quality=Q]\n"
+               "                                 [--shed-depth=N] "
+               "[--shed-resume=N]\n"
                "                                 [--shed-headroom-ms=D] "
                "[--approx-samples=D]\n"
                "                                 [--listen=H:P] "
@@ -293,8 +291,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->no_coalesce = true;
     } else if (StartsWith(arg, "--cache-mb=")) {
       options->cache_mb = std::atoi(arg.c_str() + 11);
-    } else if (arg == "--no-cache") {
-      options->no_cache = true;
     } else if (StartsWith(arg, "--listen=")) {
       options->listen = arg.substr(9);
     } else if (StartsWith(arg, "--net-workers=")) {
@@ -873,11 +869,9 @@ int RunServe(const CliOptions& options) {
   std::vector<std::unique_ptr<ServedTenant>> tenants;
   service::EngineRegistry registry;
   // Column cache: on by default for engines that can vouch for their state
-  // (StateFingerprint != 0); --no-cache or --cache-mb=0 turns it off.
+  // (StateFingerprint != 0); --cache-mb=0 turns it off.
   const int64_t cache_total =
-      (!options.no_cache && options.cache_mb > 0)
-          ? static_cast<int64_t>(options.cache_mb) << 20
-          : 0;
+      options.cache_mb > 0 ? static_cast<int64_t>(options.cache_mb) << 20 : 0;
   for (const auto& [name, path] : *specs) {
     auto tenant = std::make_unique<ServedTenant>();
     tenant->name = name;
